@@ -107,31 +107,28 @@ void ClusterBft::crash_now() {
   cp_.detach();  // lint:allow(core-async-dispatch)
 }
 
+void ClusterBft::throw_if_crashed() const {
+  if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
+}
+
 ScriptResult ClusterBft::execute(const ClientRequest& request) {
   const common::RoleGuard held(common::scheduler_thread_role);
   // A crash point can fire in the constructor (on the very first inbound
   // append): surface it like any other crash so the caller recovers.
-  if (crashed_) {
-    throw ControllerCrashed(journal_ == nullptr ? 0 : journal_->size());
-  }
+  throw_if_crashed();
   ScriptSession* s = begin_script(request);
-  if (s == nullptr) {
-    // The crash point fired on the session's kScriptStart append: the
-    // script never durably existed.
-    throw ControllerCrashed(journal_ == nullptr ? 0 : journal_->size());
-  }
-  return drive_and_collect(*s);
+  // Null only when the crash point fired on the session's kScriptStart
+  // append: the script never durably existed.
+  throw_if_crashed();
+  drive(s);
+  return collect_result(*s);
 }
 
 std::size_t ClusterBft::begin_session(const ClientRequest& request) {
   const common::RoleGuard held(common::scheduler_thread_role);
-  if (crashed_) {
-    throw ControllerCrashed(journal_ == nullptr ? 0 : journal_->size());
-  }
+  throw_if_crashed();
   ScriptSession* s = begin_script(request);
-  if (s == nullptr || crashed_) {
-    throw ControllerCrashed(journal_ == nullptr ? 0 : journal_->size());
-  }
+  throw_if_crashed();
   return s->id;
 }
 
@@ -160,12 +157,8 @@ std::size_t ClusterBft::healthy_pool_size() const {
 
 std::size_t ClusterBft::placement_capacity(
     const ClientRequest& request) const {
+  if (cp_.cloud_count() <= 1) return healthy_pool_size();
   const common::RoleGuard held(common::scheduler_thread_role);
-  if (cp_.cloud_count() <= 1) {
-    const std::size_t excluded = cp_.excluded_nodes().size();
-    const std::size_t total = cp_.cluster_size();
-    return total > excluded ? total - excluded : 0;
-  }
   std::size_t capacity = 0;
   for (std::uint64_t c : placement_candidates(request.placement)) {
     capacity += cp_.healthy_in_cloud(c);
@@ -208,35 +201,43 @@ void ClusterBft::note_cloud_alive(std::size_t run_id) {
   }
 }
 
-ResultCache::Stats ClusterBft::cache_stats() const {
+VerifiedStore::Stats ClusterBft::cache_stats() const {
   const common::RoleGuard held(common::scheduler_thread_role);
   return result_cache_.stats();
 }
 
-CheckpointStore::Stats ClusterBft::checkpoint_stats() const {
+VerifiedStore::Stats ClusterBft::checkpoint_stats() const {
   const common::RoleGuard held(common::scheduler_thread_role);
   return checkpoints_.stats();
 }
 
 void ClusterBft::drive_all() {
   const common::RoleGuard held(common::scheduler_thread_role);
-  if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
-  for (;;) {
-    bool any_active = false;
-    for (const auto& s : sessions_) {
-      if (!s->finished) {
-        any_active = true;
-        break;
-      }
-    }
-    if (!any_active || crashed_ || !sim_.step()) break;
+  throw_if_crashed();
+  drive(nullptr);
+}
+
+void ClusterBft::drive(ScriptSession* only) {
+  const auto pending = [this, only] {
+    if (only != nullptr) return !only->finished;
+    return std::any_of(sessions_.begin(), sessions_.end(),
+                       [](const auto& s) { return !s->finished; });
+  };
+  while (pending() && !crashed_ && sim_.step()) {
   }
-  for (const auto& s : sessions_) {
-    if (!crashed_ && !s->finished) mark_stalled(*s);
+  // Queue drained without completing (e.g. everything stuck and no
+  // timeout pending): report failure with diagnostics. mark_stalled
+  // skips finished sessions and a crashed controller.
+  if (only != nullptr) {
+    mark_stalled(*only);
+  } else {
+    for (const auto& s : sessions_) mark_stalled(*s);
   }
+  // Let in-flight replicas and stale timeouts drain so their cost is
+  // accounted and the simulator is clean for the next script.
   while (!crashed_ && sim_.step()) {
   }
-  if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
+  throw_if_crashed();
 }
 
 void ClusterBft::fail_stalled_sessions() {
@@ -249,22 +250,13 @@ void ClusterBft::fail_stalled_sessions() {
 
 ScriptResult ClusterBft::collect_session(std::size_t session) {
   const common::RoleGuard held(common::scheduler_thread_role);
-  if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
+  throw_if_crashed();
   CBFT_CHECK_MSG(session >= 1 && session <= sessions_.size(),
                  "collect_session: unknown session id");
   ScriptSession& s = *sessions_[session - 1];
   CBFT_CHECK_MSG(s.finished, "collect_session: session still in flight");
   CBFT_CHECK_MSG(!s.collected, "collect_session: already collected");
-  ScriptResult result = collect_result(s);
-  if (!s.finish_journaled) {
-    if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                          RecordKind::kScriptFinish, {})) {
-      throw ControllerCrashed(journal_ ? journal_->size() : 0);
-    }
-    s.finish_journaled = true;
-  }
-  s.collected = true;
-  return result;
+  return collect_result(s);
 }
 
 ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
@@ -317,12 +309,10 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
   s.job_timeout_s.assign(jobs, request.verifier_timeout_s);
   s.cache_key.assign(jobs, crypto::Digest256{});
   s.cache_ok.assign(jobs, false);
-  s.cache_adopted.assign(jobs, false);
   s.wave_skip.assign(jobs, false);
   s.contributors.assign(jobs, {});
   s.verified_fp_hex.assign(jobs, "");
   s.ckpt_selected.assign(jobs, false);
-  s.checkpointed.assign(jobs, false);
   for (const MRJobSpec& j : s.dag.jobs) {
     s.job_by_output[j.output_path] = j.job_index;
   }
@@ -343,10 +333,9 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
     for (std::uint64_t n = 0; n < cp_.cluster_size(); ++n) {
       prior = std::max(prior, cp_.suspicion(n));
     }
-    s.ckpt_selected =
-        select_checkpoints(s.dag, input_sizes, s.pipeline_depth, gating,
-                           prior, request.checkpoint_budget_bytes)
-            .selected;
+    s.ckpt_selected = select_checkpoints(s.dag, input_sizes,
+                                         s.pipeline_depth, gating, prior)
+                          .selected;
   }
 
   s.id = sessions_.size() + 1;
@@ -391,36 +380,6 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
     if (crashed_ || ss.finished) break;
   }
   return &ss;
-}
-
-ScriptResult ClusterBft::drive_and_collect(ScriptSession& s) {
-  // ---- drive the simulation ----
-  while (!s.finished && !crashed_ && sim_.step()) {
-  }
-  if (!crashed_ && !s.finished) {
-    // Queue drained without completing (e.g. everything stuck and no
-    // timeout pending): report failure with diagnostics.
-    mark_stalled(s);
-  }
-  // Let in-flight replicas and stale timeouts drain so their cost is
-  // accounted and the simulator is clean for the next script.
-  while (!crashed_ && sim_.step()) {
-  }
-  if (crashed_) throw ControllerCrashed(journal_ ? journal_->size() : 0);
-
-  ScriptResult result = collect_result(s);
-  // The finish record closes this session's recovery window. A crash
-  // between collect_result and this append replays back to the finished
-  // state and collects again — promotion is idempotent.
-  if (!s.finish_journaled) {
-    if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                          RecordKind::kScriptFinish, {})) {
-      throw ControllerCrashed(journal_ ? journal_->size() : 0);
-    }
-    s.finish_journaled = true;
-  }
-  s.collected = true;
-  return result;
 }
 
 void ClusterBft::mark_stalled(ScriptSession& s) {
@@ -534,6 +493,17 @@ ScriptResult ClusterBft::collect_result(ScriptSession& s) {
                     ", " + std::to_string(result.metrics.runs) +
                     " job replicas",
                 "", {}, s.scope);
+  // The finish record closes this session's recovery window. A crash
+  // between promotion and this append replays back to the finished
+  // state and collects again — promotion is idempotent.
+  if (!s.finish_journaled) {
+    if (!journal_decision(static_cast<std::uint32_t>(s.id),
+                          RecordKind::kScriptFinish, {})) {
+      throw_if_crashed();  // a failed append is always a crash
+    }
+    s.finish_journaled = true;
+  }
+  s.collected = true;
   return result;
 }
 
@@ -582,7 +552,7 @@ std::vector<ScriptResult> ClusterBft::recover_all(
     // ---- resync the computation tier ----
     resync();
   }
-  if (crashed_) throw ControllerCrashed(journal_->size());
+  throw_if_crashed();
 
   // Begin every request the crashed life never durably started, in
   // request order, and map each request to its session.
@@ -597,45 +567,17 @@ std::vector<ScriptResult> ClusterBft::recover_all(
       continue;
     }
     ScriptSession* s = begin_script(requests[i]);
-    if (s == nullptr || crashed_) {
-      throw ControllerCrashed(journal_->size());
-    }
+    throw_if_crashed();
     session_for[i] = s->id;
   }
 
-  // ---- drive every session to completion ----
-  for (;;) {
-    bool any_active = false;
-    for (const auto& s : sessions_) {
-      if (!s->finished) {
-        any_active = true;
-        break;
-      }
-    }
-    if (!any_active || crashed_ || !sim_.step()) break;
-  }
-  for (const auto& s : sessions_) {
-    if (!crashed_ && !s->finished) mark_stalled(*s);
-  }
-  while (!crashed_ && sim_.step()) {
-  }
-  if (crashed_) throw ControllerCrashed(journal_->size());
-
-  // ---- collect in request order ----
+  drive(nullptr);
+  // Sessions that finished before the crash are collected here too; their
+  // replayed kScriptFinish keeps collect_result from appending another.
   std::vector<ScriptResult> out;
   out.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ScriptSession& s = *sessions_[session_for[i] - 1];
-    ScriptResult result = collect_result(s);
-    if (!s.finish_journaled) {
-      if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                            RecordKind::kScriptFinish, {})) {
-        throw ControllerCrashed(journal_->size());
-      }
-      s.finish_journaled = true;
-    }
-    s.collected = true;
-    out.push_back(std::move(result));
+  for (const std::size_t id : session_for) {
+    out.push_back(collect_result(*sessions_[id - 1]));
   }
   return out;
 }
@@ -892,11 +834,8 @@ void ClusterBft::apply_probe_outcome(std::uint64_t suspect,
     if (fault_analyzer_) {
       fault_analyzer_->observe({static_cast<NodeId>(suspect)});
     }
-    // A convicted contributor poisons every cached result and checkpoint
-    // it helped produce (deterministic under replay: kProbeOutcome is a
-    // journaled stimulus).
-    result_cache_.invalidate_node(static_cast<NodeId>(suspect));
-    checkpoints_.invalidate_node(static_cast<NodeId>(suspect));
+    // Deterministic under replay: kProbeOutcome is a journaled stimulus.
+    invalidate_convicted(static_cast<NodeId>(suspect));
   }
 }
 
@@ -907,24 +846,26 @@ std::string ClusterBft::wave_scope(const ScriptSession& s,
 
 bool ClusterBft::ensure_capacity(ScriptSession& s) {
   const std::size_t need = s.base_replicas;
+  // Fail honestly instead of spinning forever on an unplaceable wave.
+  const auto exhausted = [&](const std::string& why) {
+    if (journal_decision(static_cast<std::uint32_t>(s.id),
+                         RecordKind::kPoolExhausted, {})) {
+      audit_.record(now(), AuditEvent::Kind::kPoolExhausted,
+                    s.request.name + ": " + why + "; failing honestly", "",
+                    {}, s.scope);
+      s.failure = FailureReason::kPoolExhausted;
+      finish(s, false);
+    }
+    return false;
+  };
   if (cp_.cloud_count() > 1 &&
       placement_candidates(s.request.placement).empty()) {
     // Every cloud the placement policy may use is down (or fully
     // excluded): no wave is placeable anywhere. Node-level degradation
-    // cannot help — the clouds are unreachable, not suspect — so fail
-    // honestly.
-    if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                          RecordKind::kPoolExhausted, {})) {
-      return false;
-    }
-    audit_.record(now(), AuditEvent::Kind::kPoolExhausted,
-                  s.request.name + ": no cloud available under " +
-                      std::string(to_string(s.request.placement)) +
-                      " placement; failing honestly",
-                  "", {}, s.scope);
-    s.failure = FailureReason::kPoolExhausted;
-    finish(s, false);
-    return false;
+    // cannot help — the clouds are unreachable, not suspect.
+    return exhausted("no cloud available under " +
+                     std::string(to_string(s.request.placement)) +
+                     " placement");
   }
   std::vector<std::uint64_t> excluded = cp_.excluded_nodes();
   // Nodes already re-admitted this script but whose NodeReadmitted echo
@@ -941,21 +882,10 @@ bool ClusterBft::ensure_capacity(ScriptSession& s) {
 
   if (s.request.degraded_mode == DegradedMode::kFail ||
       cp_.cluster_size() < need) {
-    // Nothing to degrade onto (or the client refused degradation): fail
-    // honestly instead of spinning forever on an unplaceable wave.
-    if (!journal_decision(static_cast<std::uint32_t>(s.id),
-                          RecordKind::kPoolExhausted, {})) {
-      return false;
-    }
-    audit_.record(now(), AuditEvent::Kind::kPoolExhausted,
-                  s.request.name + ": healthy pool (" +
-                      std::to_string(healthy) +
-                      " nodes) below replication factor " +
-                      std::to_string(need) + "; failing honestly",
-                  "", {}, s.scope);
-    s.failure = FailureReason::kPoolExhausted;
-    finish(s, false);
-    return false;
+    // Nothing to degrade onto, or the client refused degradation.
+    return exhausted("healthy pool (" + std::to_string(healthy) +
+                     " nodes) below replication factor " +
+                     std::to_string(need));
   }
 
   // Graceful degradation: re-admit the least-suspect excluded nodes
@@ -1080,8 +1010,6 @@ void ClusterBft::create_wave(ScriptSession& s,
   }
   Wave w;
   w.replica = s.waves.size();
-  w.created_at = now();
-  w.scope_job = scope_job;
   w.cloud = cloud;
   w.failover = failover;
   w.includes.resize(s.dag.jobs.size());
@@ -1616,14 +1544,7 @@ void ClusterBft::attribute_commission(
     }
     fault_analyzer_->set_f(std::max<std::size_t>(1, s.request.f));
     fault_analyzer_->observe(nodes);
-    // Every cached result and checkpoint a now-convicted node contributed
-    // to is suspect: drop them so no future session adopts tainted
-    // evidence. The checkpoint bytes stay on the DFS (in-flight readers
-    // hold the old paths); only the adoptable index entries go.
-    for (NodeId n : nodes) {
-      result_cache_.invalidate_node(n);
-      checkpoints_.invalidate_node(n);
-    }
+    for (NodeId n : nodes) invalidate_convicted(n);
   }
 }
 
@@ -1842,11 +1763,11 @@ void ClusterBft::compute_cache_keys(ScriptSession& s) {
 void ClusterBft::adopt_cache_hits(ScriptSession& s) {
   for (std::size_t j = 0; j < s.dag.jobs.size(); ++j) {
     if (!s.cache_ok[j]) continue;
-    const ResultCache::Entry* e = result_cache_.lookup(s.cache_key[j]);
+    const VerifiedStore::Entry* e = result_cache_.lookup(s.cache_key[j]);
     if (e == nullptr) continue;
     // The materialised relation must still exist — a hit adopts data,
     // not just evidence.
-    if (!dfs_.exists(e->output_path)) continue;
+    if (!dfs_.exists(e->path)) continue;
     common::WireWriter wr;
     wr.u64(j);
     wr.raw(s.cache_key[j].bytes.data(), s.cache_key[j].bytes.size());
@@ -1855,8 +1776,7 @@ void ClusterBft::adopt_cache_hits(ScriptSession& s) {
       return;
     }
     s.verified[j] = true;
-    s.verified_path[j] = e->output_path;
-    s.cache_adopted[j] = true;
+    s.verified_path[j] = e->path;
     s.verified_fp_hex[j] = e->fingerprint.hex();
     s.contributors[j] = e->contributors;
     ++s.cache_hits;
@@ -1908,6 +1828,13 @@ void ClusterBft::compute_contributors(
   s.contributors[j] = std::move(contrib);
 }
 
+void ClusterBft::invalidate_convicted(NodeId node) {
+  // The checkpoint bytes stay on the DFS (in-flight readers hold the old
+  // paths); only the adoptable index entries go.
+  result_cache_.invalidate_node(node);
+  checkpoints_.invalidate_node(node);
+}
+
 void ClusterBft::cache_store_verified(
     ScriptSession& s, std::size_t j,
     const std::vector<std::size_t>& majority_runs) {
@@ -1916,9 +1843,9 @@ void ClusterBft::cache_store_verified(
       s.verifier->completed_fingerprint(s.dag.jobs[j].sid,
                                         majority_runs.front());
   if (!fp) return;
-  ResultCache::Entry entry;
+  VerifiedStore::Entry entry;
   entry.fingerprint = *fp;
-  entry.output_path = s.verified_path[j];
+  entry.path = s.verified_path[j];
   entry.contributors = s.contributors[j];
   result_cache_.insert(s.cache_key[j], std::move(entry));
 }
@@ -1932,7 +1859,7 @@ void ClusterBft::maybe_checkpoint(
   // unresolvable dependency) cannot be content-addressed.
   if (!s.cache_ok[j]) return;
   const crypto::Digest256& key = s.cache_key[j];
-  const CheckpointStore::Entry* existing = checkpoints_.lookup(key);
+  const VerifiedStore::Entry* existing = checkpoints_.lookup(key);
   const bool adopt = existing != nullptr && dfs_.exists(existing->path);
   common::WireWriter wr;
   wr.u64(j);
@@ -1955,7 +1882,7 @@ void ClusterBft::maybe_checkpoint(
     const std::string path = "ckpt/" + key.hex();
     dataflow::Relation rel = dfs_.read(s.verified_path[j]);
     dfs_.write(path, rel);
-    CheckpointStore::Entry entry;
+    VerifiedStore::Entry entry;
     if (const auto fp = s.verifier->completed_fingerprint(
             s.dag.jobs[j].sid, majority_runs.front())) {
       entry.fingerprint = *fp;
@@ -1968,7 +1895,6 @@ void ClusterBft::maybe_checkpoint(
     checkpoints_.insert(key, std::move(entry));
   }
   ++s.checkpoints;
-  s.checkpointed[j] = true;
   audit_.record(now(), AuditEvent::Kind::kCheckpoint,
                 s.dag.jobs[j].sid +
                     (adopt ? " adopted checkpoint (key "

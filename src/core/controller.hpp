@@ -6,15 +6,18 @@
 //
 // Multi-tenant model: the controller is the SHARED substrate — pool
 // membership, suspicion mirror, fault analyzer, transport, journal,
-// timers, and the digest-keyed verified-result cache. Everything that
-// belongs to one script lives in a core::ScriptSession (core/session.hpp)
-// and N sessions multiplex concurrently through the one event loop:
-// inbound digests and completions route to the owning session by run id,
-// timers carry their session, and journal records are namespaced by a
-// session field so crash-recovery replays a *set* of in-flight scripts
-// bit-identically. `execute()` remains the one-shot convenience
-// (begin_session + drive + collect); the front end (src/frontend) uses
-// the session API directly to keep many scripts in flight.
+// timers, and the two verified-relation stores. Everything that belongs
+// to one script lives in a core::ScriptSession (core/session.hpp) and N
+// sessions multiplex concurrently through the one event loop: inbound
+// digests and completions route to the owning session by run id, timers
+// carry their session, and journal records are namespaced by a session
+// field so crash-recovery replays a *set* of in-flight scripts
+// bit-identically. One private drive loop steps the simulation until
+// one session (execute) or every session (drive_all, recover_all) has
+// finished, and one collect step promotes a finished session's outputs
+// and journals its kScriptFinish. `execute()` is the one-shot
+// convenience (begin + drive + collect); the front end (src/frontend)
+// uses the session API directly to keep many scripts in flight.
 //
 // Execution model per script:
 //  * the script is parsed, analysed (verification points) and compiled to
@@ -41,16 +44,24 @@
 //  * the script is done when every final STORE job is verified; one
 //    verified replica's output is promoted to the plain store path.
 //
-// Verified-result cache (ClientRequest::use_result_cache): every job's
+// Verified-relation stores (core/verified_store.hpp): every job's
 // sub-graph is keyed by (canonical logical-plan fingerprint, LOAD input
 // content digests, r-policy), composed recursively through dependency
-// keys. When a key matches an earlier *verified* sub-graph, the session
-// adopts the cached digest-vector fingerprint and materialised relation
-// instead of re-running it — journaled as kCacheHit, audited as a
-// cache-hit event, and counted in ScriptMetrics::cache_hits. Convicting
-// a node that contributed to an entry (commission attribution or a probe
-// conviction) invalidates every dependent entry; both conviction paths
-// are journaled stimuli, so the cache replays deterministically.
+// keys. Two instances of the one store class share that key:
+//  * the result cache (ClientRequest::use_result_cache): when a key
+//    matches an earlier *verified* sub-graph, the session adopts the
+//    cached digest-vector fingerprint and materialised relation instead
+//    of re-running it — journaled as kCacheHit, audited as a cache-hit
+//    event, and counted in ScriptMetrics::cache_hits;
+//  * the checkpoint store (ClientRequest::adaptive_checkpoints): a
+//    cost-model-selected job's verified relation is materialised to
+//    `ckpt/<key-hex>` (or an earlier copy adopted) — journaled as
+//    kCheckpoint before the DFS write.
+// They are separate instances so a cache lookup never adopts a
+// checkpoint-only entry. Convicting a node that contributed to an entry
+// (commission attribution or a probe conviction) invalidates every
+// dependent entry in both; both conviction paths are journaled stimuli,
+// so the stores replay deterministically.
 //
 // Durability and crash-recovery (core/journal.hpp): when constructed over
 // a Journal, the controller writes a typed record for every stimulus
@@ -90,12 +101,11 @@
 #include "common/guarded.hpp"
 #include "common/thread_pool.hpp"
 #include "core/audit.hpp"
-#include "core/checkpoint.hpp"
 #include "core/fault_analyzer.hpp"
 #include "core/journal.hpp"
 #include "core/request.hpp"
-#include "core/result_cache.hpp"
 #include "core/session.hpp"
+#include "core/verified_store.hpp"
 #include "core/verifier.hpp"
 #include "dataflow/plan.hpp"
 #include "mapreduce/compiler.hpp"
@@ -171,8 +181,8 @@ class ClusterBft {
   /// is attached, so single-cloud admission is unchanged. Read-only —
   /// the front end weighs aggregate demand against it.
   std::size_t placement_capacity(const ClientRequest& request) const;
-  ResultCache::Stats cache_stats() const;
-  CheckpointStore::Stats checkpoint_stats() const;
+  VerifiedStore::Stats cache_stats() const;
+  VerifiedStore::Stats checkpoint_stats() const;
 
   /// The fault analyzer persists across scripts so isolation sharpens
   /// over a workload (§4.3). Null until the first fault was observed.
@@ -225,19 +235,28 @@ class ClusterBft {
     cluster::SimTime deadline = 0;
   };
 
-  // Script lifecycle (execute = begin_script + drive_and_collect;
-  // recover = replay + resync + drive_and_collect). Every private step
-  // declares the scheduler-thread capability: under clang -Wthread-safety
-  // a pool payload (or any async path) calling into controller state
-  // without the role is a compile error.
+  // Script lifecycle (execute = begin_script + drive + collect_result;
+  // recover = replay + resync + drive + collect_result). Every private
+  // step declares the scheduler-thread capability: under clang
+  // -Wthread-safety a pool payload (or any async path) calling into
+  // controller state without the role is a compile error.
   /// Create + admit a session. Returns null when the crash point fired
   /// on the session's kScriptStart append (the session never durably
   /// existed).
   ScriptSession* begin_script(const ClientRequest& request)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
-  ScriptResult drive_and_collect(ScriptSession& s)
+  /// Step the simulation until `only` — or, when null, every session —
+  /// has finished or the queue drains; stall whichever of them is still
+  /// unfinished, then drain stragglers and stale timers. Throws
+  /// ControllerCrashed when the crash point fired.
+  void drive(ScriptSession* only)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
+  /// Result of a finished session: promote its outputs, journal its
+  /// kScriptFinish unless one exists, and mark it collected.
   ScriptResult collect_result(ScriptSession& s)
+      CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
+  /// Throw ControllerCrashed if the injected crash point fired.
+  void throw_if_crashed() const
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   void replay_record(
       const JournalRecord& rec,
@@ -318,6 +337,11 @@ class ClusterBft {
   /// repoint verified_path[job] at the durable copy.
   void maybe_checkpoint(ScriptSession& s, std::size_t job,
                         const std::vector<std::size_t>& majority_runs)
+      CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
+  /// A convicted node poisons every cache entry and checkpoint it
+  /// contributed to: drop them from both stores so no future session
+  /// adopts tainted evidence.
+  void invalidate_convicted(cluster::NodeId node)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
 
   // Journal / crash plumbing.
@@ -452,12 +476,13 @@ class ClusterBft {
   /// until any of their traffic arrives again.
   std::set<std::uint64_t> clouds_down_ CBFT_SCHED;
 
-  // Verified-result cache (shared across sessions and tenants).
-  ResultCache result_cache_ CBFT_SCHED;
-  /// Checkpoint store: durable verified intermediate relations, shared
-  /// across sessions like the cache and invalidated on the same
-  /// conviction paths.
-  CheckpointStore checkpoints_ CBFT_SCHED;
+  // Verified-relation stores, shared across sessions and tenants. Two
+  // instances of one class, not one map: a cache lookup must never
+  // adopt a checkpoint-only entry (core/verified_store.hpp).
+  /// Result cache: entries point at a majority replica's output.
+  VerifiedStore result_cache_ CBFT_SCHED;
+  /// Checkpoint store: entries point at durable `ckpt/<key-hex>` copies.
+  VerifiedStore checkpoints_ CBFT_SCHED;
   /// LOAD input content digests, memoized by path while the size is
   /// unchanged.
   std::map<std::string, std::pair<std::uint64_t, crypto::Digest256>>

@@ -190,8 +190,7 @@ CheckpointPlacement select_checkpoints(
     const mapreduce::JobDag& dag,
     const std::map<std::string, std::uint64_t>& input_sizes,
     const std::vector<std::size_t>& pipeline_depth,
-    const std::vector<bool>& gating, double suspicion_prior,
-    std::uint64_t budget_bytes) {
+    const std::vector<bool>& gating, double suspicion_prior) {
   CBFT_CHECK(pipeline_depth.size() == dag.jobs.size());
   CBFT_CHECK(gating.size() == dag.jobs.size());
   CheckpointPlacement out;
@@ -223,26 +222,15 @@ CheckpointPlacement select_checkpoints(
   // cluster::CostModel ratios).
   constexpr double kWriteCostFactor = 0.1;
 
-  std::vector<std::size_t> candidates;
   for (const mapreduce::MRJobSpec& j : dag.jobs) {
-    if (gating[j.job_index]) candidates.push_back(j.job_index);
-  }
-  const auto net = [&](std::size_t j) {
+    const std::size_t v = j.job_index;
+    if (!gating[v]) continue;
     const double stages =
-        pipeline_depth[j] > 0 ? static_cast<double>(pipeline_depth[j] - 1)
+        pipeline_depth[v] > 0 ? static_cast<double>(pipeline_depth[v] - 1)
                               : 0.0;
-    return risk * stages * static_cast<double>(upstream[j]) -
-           kWriteCostFactor * static_cast<double>(out.est_bytes[j]);
-  };
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](std::size_t a, std::size_t b) { return net(a) > net(b); });
-
-  std::uint64_t spent = 0;
-  for (std::size_t j : candidates) {
-    if (net(j) <= 0.0) break;  // sorted: the rest only get worse
-    if (budget_bytes > 0 && spent + out.est_bytes[j] > budget_bytes) continue;
-    out.selected[j] = true;
-    spent += out.est_bytes[j];
+    const double net = risk * stages * static_cast<double>(upstream[v]) -
+                       kWriteCostFactor * static_cast<double>(out.est_bytes[v]);
+    out.selected[v] = net > 0.0;
   }
   return out;
 }

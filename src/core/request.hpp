@@ -143,11 +143,6 @@ struct ClientRequest {
   /// the nearest verified checkpoint instead of the chain inputs.
   bool adaptive_checkpoints = false;
 
-  /// Byte budget for checkpoint materialisation per script (estimated
-  /// output bytes of the selected jobs; 0 = unlimited). The placement
-  /// pass spends it on the highest expected-rework savings first.
-  std::uint64_t checkpoint_budget_bytes = 0;
-
   /// Multi-cloud replica placement policy (see Placement). Irrelevant —
   /// and bit-identical to the old behaviour — when only one cloud is
   /// attached.

@@ -6,8 +6,8 @@
 // concurrent scripts through ONE controller event loop, so everything
 // that belongs to a single script now lives here. The controller keeps
 // only the shared substrate — pool membership, suspicion, fault
-// analyzer, transport mirror, journal, timers, result cache — and routes
-// every inbound event to the owning session by run id.
+// analyzer, transport mirror, journal, timers, verified-relation stores
+// — and routes every inbound event to the owning session by run id.
 //
 // Identity: a session's `scope` is "<request name>#<per-name serial>".
 // The serial counts executions of the same request *name* (not global
@@ -41,13 +41,8 @@ namespace clusterbft::core {
 struct ScriptSession {
   struct Wave {
     std::size_t replica = 0;
-    cluster::SimTime created_at = 0;
     std::vector<bool> includes;                       ///< per job
     std::vector<std::optional<std::size_t>> run_of;   ///< per job
-    /// Scoped rerun/escalation wave (adaptive_checkpoints): the job whose
-    /// unverified-ancestor closure this wave re-executes. Full waves
-    /// (initial replicas, non-adaptive reruns) carry nullopt.
-    std::optional<std::size_t> scope_job;
     /// Cloud this wave's runs are placed in (ISSUE 10); 0 when only one
     /// cloud is attached, which keeps the single-cloud path
     /// bit-identical.
@@ -142,8 +137,6 @@ struct ScriptSession {
   std::vector<crypto::Digest256> cache_key;
   /// Per job: key well-defined (topological deps; defensive).
   std::vector<bool> cache_ok;
-  /// Per job: adopted from the cache (counted in metrics.cache_hits).
-  std::vector<bool> cache_adopted;
   /// Per job: skip in every wave — all consumers were adopted from the
   /// cache, so the job's output is never needed.
   std::vector<bool> wave_skip;
@@ -160,8 +153,6 @@ struct ScriptSession {
   /// job verifies, its relation is materialised to (or adopted from)
   /// the checkpoint store.
   std::vector<bool> ckpt_selected;
-  /// Per job: checkpoint committed (verified_path points at the store).
-  std::vector<bool> checkpointed;
   std::size_t checkpoints = 0;            ///< metrics.checkpoints
   std::uint64_t checkpoint_bytes = 0;     ///< metrics.checkpoint_bytes
   std::size_t escalations = 0;            ///< metrics.escalations

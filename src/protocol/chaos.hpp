@@ -15,13 +15,12 @@
 // replica (timeout -> rerun) and must NOT convict nodes whose digests
 // were merely late. `digest_*` settings affect DigestBatch messages only.
 //
-// This transport subsumes the former LossyTransport (protocol/lossy.hpp
-// is now a thin alias header). RNG draw-order discipline: the chaos
-// draws (reorder, corrupt) are consumed ONLY when their probability is
-// non-zero, so a ChaosConfig with the chaos knobs at zero reproduces the
-// legacy LossyTransport seeded streams bit-for-bit. The config is fixed
-// for the transport's lifetime, so gating draws on the probabilities
-// does not break determinism.
+// This transport subsumes the former LossyTransport. RNG draw-order
+// discipline: the chaos draws (reorder, corrupt) are consumed ONLY when
+// their probability is non-zero, so a ChaosConfig with the chaos knobs
+// at zero reproduces the legacy LossyTransport seeded streams
+// bit-for-bit. The config is fixed for the transport's lifetime, so
+// gating draws on the probabilities does not break determinism.
 #pragma once
 
 #include <cstdint>

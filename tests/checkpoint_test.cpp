@@ -7,12 +7,14 @@
 // ancestor closure, and adaptive assurance launches f+1 chains and
 // escalates only on fault evidence — with every verified output
 // bit-identical to the reference interpreter.
-#include "core/checkpoint.hpp"
-
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "baseline/presets.hpp"
+#include "common/guarded.hpp"
 #include "core/controller.hpp"
+#include "core/verified_store.hpp"
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
 #include "protocol/seam.hpp"
@@ -81,11 +83,11 @@ crypto::Digest256 key_of(std::uint8_t seed) {
 }
 
 TEST(CheckpointStoreTest, InsertLookupAdoptInvalidate) {
-  CheckpointStore store;
   const common::RoleGuard held(common::scheduler_thread_role);
+  VerifiedStore store;
   EXPECT_EQ(store.lookup(key_of(1)), nullptr);
 
-  CheckpointStore::Entry e;
+  VerifiedStore::Entry e;
   e.path = "ckpt/aa";
   e.bytes = 100;
   e.contributors = {2, 5};
@@ -94,20 +96,26 @@ TEST(CheckpointStoreTest, InsertLookupAdoptInvalidate) {
   e.contributors = {7};
   store.insert(key_of(2), e);
 
-  const CheckpointStore::Entry* got = store.lookup(key_of(1));
+  const VerifiedStore::Entry* got = store.lookup(key_of(1));
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->path, "ckpt/aa");
-  EXPECT_EQ(store.stats().writes, 2u);
+  EXPECT_EQ(store.stats().insertions, 2u);
   EXPECT_EQ(store.stats().bytes_written, 200u);
+  EXPECT_EQ(store.stats().lookups, 2u);
+  EXPECT_EQ(store.stats().hits, 1u);
 
   // First insert wins: a re-derived entry for the same content address
   // must not clobber the original (same bytes by construction).
-  CheckpointStore::Entry dup;
+  VerifiedStore::Entry dup;
   dup.path = "ckpt/other";
+  dup.bytes = 100;
   store.insert(key_of(1), dup);
   EXPECT_EQ(store.lookup(key_of(1))->path, "ckpt/aa");
-  EXPECT_EQ(store.stats().writes, 2u);
+  EXPECT_EQ(store.stats().insertions, 2u);
+  EXPECT_EQ(store.stats().bytes_written, 200u);
 
+  // Adoption is counted only once the caller commits to reusing an entry.
+  EXPECT_EQ(store.stats().adoptions, 0u);
   store.adopted();
   EXPECT_EQ(store.stats().adoptions, 1u);
 
@@ -117,6 +125,7 @@ TEST(CheckpointStoreTest, InsertLookupAdoptInvalidate) {
   ASSERT_NE(store.lookup(key_of(2)), nullptr);
   EXPECT_EQ(store.stats().invalidated, 1u);
   EXPECT_EQ(store.invalidate_node(5), 0u);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 ClientRequest checkpointed(ClientRequest req) {
@@ -142,7 +151,7 @@ TEST(CheckpointTest, FaultFreeRunMaterialisesSelectedRelations) {
   EXPECT_GT(res.metrics.checkpoints, 0u);
   EXPECT_GT(res.metrics.checkpoint_bytes, 0u);
   const auto stats = w.controller->checkpoint_stats();
-  EXPECT_EQ(stats.writes, res.metrics.checkpoints);
+  EXPECT_EQ(stats.insertions, res.metrics.checkpoints);
   EXPECT_EQ(stats.adoptions, 0u);
 }
 
@@ -153,7 +162,7 @@ TEST(CheckpointTest, SecondSessionAdoptsExistingCheckpoint) {
       workloads::weather_average_analysis(), "ckpt", 1, 2, 2));
   const auto first = w.controller->execute(req);
   ASSERT_TRUE(first.verified);
-  const auto writes = w.controller->checkpoint_stats().writes;
+  const auto writes = w.controller->checkpoint_stats().insertions;
   ASSERT_GT(writes, 0u);
 
   // Same script, same inputs, same policy — same content address. The
@@ -163,7 +172,7 @@ TEST(CheckpointTest, SecondSessionAdoptsExistingCheckpoint) {
   EXPECT_TRUE(second.verified);
   w.expect_outputs_match_interpreter(req, second);
   const auto stats = w.controller->checkpoint_stats();
-  EXPECT_EQ(stats.writes, writes);
+  EXPECT_EQ(stats.insertions, writes);
   EXPECT_GT(stats.adoptions, 0u);
 }
 

@@ -394,68 +394,81 @@ TEST(CrashRecoveryTest, CacheHitRecoveryIsBitIdentical) {
   // as kCacheHit). Crash the pair at every record; recovery must replay
   // the adoption — same hits, same outputs, same audit — even when the
   // crash lands between the insert (first script) and the hit (second).
-  const ClientRequest base = request();
-  ClientRequest req = base;
-  req.use_result_cache = true;
-
-  World ref_world;
-  Journal ref_journal;
-  ClusterBft ref(ref_world.sim, ref_world.dfs, ref_world.seam->transport,
-                 ref_world.seam->programs, &ref_journal);
-  // Audit comparison is per-session canonical transcript: recovery
-  // collects sessions at the end, so the raw insertion order of the
-  // script-completed lines differs from the serial reference even though
-  // every event (and its timestamp) is identical.
-  Outcome want_cold{ref.execute(req), {}};
-  Outcome want_hit{ref.execute(req), {}};
-  want_cold.audit = ref.audit_log().transcript("recover#1");
-  want_hit.audit = ref.audit_log().transcript("recover#2");
-  ASSERT_TRUE(want_cold.result.verified);
-  ASSERT_TRUE(want_hit.result.verified);
-  ASSERT_EQ(want_cold.result.metrics.cache_hits, 0u);
-  ASSERT_GT(want_hit.result.metrics.cache_hits, 0u)
-      << "the scenario must exercise cache adoption";
-
-  const std::size_t records = ref_journal.size();
-  for (std::size_t k = 0; k < records; ++k) {
-    SCOPED_TRACE("crash at journal record " + std::to_string(k));
-    World w;
-    Journal journal;
-    journal.set_crash_at(k);
-    ClusterBft crashed(w.sim, w.dfs, w.seam->transport, w.seam->programs,
-                       &journal);
-    try {
-      (void)crashed.execute(req);
-      (void)crashed.execute(req);
-      FAIL() << "crash point never fired";
-    } catch (const ControllerCrashed&) {
+  //
+  // The second input adds adaptive checkpoints and adaptive assurance,
+  // so one controller runs both verified-relation stores: the cold
+  // script checkpoints (journaled kCheckpoint), and the cache entry of a
+  // checkpointed job points at the checkpoint path.
+  ClientRequest cached = request();
+  cached.use_result_cache = true;
+  ClientRequest both = cached;
+  both.adaptive_checkpoints = true;
+  both.assurance = Assurance::kAdaptive;
+  for (const ClientRequest& req : {cached, both}) {
+    SCOPED_TRACE(req.adaptive_checkpoints ? "cache + checkpoints" : "cache");
+    World ref_world;
+    Journal ref_journal;
+    ClusterBft ref(ref_world.sim, ref_world.dfs, ref_world.seam->transport,
+                   ref_world.seam->programs, &ref_journal);
+    // Audit comparison is per-session canonical transcript: recovery
+    // collects sessions at the end, so the raw insertion order of the
+    // script-completed lines differs from the serial reference even though
+    // every event (and its timestamp) is identical.
+    Outcome want_cold{ref.execute(req), {}};
+    Outcome want_hit{ref.execute(req), {}};
+    want_cold.audit = ref.audit_log().transcript("recover#1");
+    want_hit.audit = ref.audit_log().transcript("recover#2");
+    ASSERT_TRUE(want_cold.result.verified);
+    ASSERT_TRUE(want_hit.result.verified);
+    ASSERT_EQ(want_cold.result.metrics.cache_hits, 0u);
+    ASSERT_GT(want_hit.result.metrics.cache_hits, 0u)
+        << "the scenario must exercise cache adoption";
+    if (req.adaptive_checkpoints) {
+      ASSERT_GT(want_cold.result.metrics.checkpoints, 0u)
+          << "the scenario must exercise checkpoint materialisation";
     }
-    ASSERT_TRUE(journal.crashed());
 
-    // Only sessions whose kScriptStart reached the journal were in flight
-    // at the crash; those are recovered. The rest were never submitted —
-    // the client re-executes them on the recovered controller, whose
-    // cache was rebuilt by replay (so the re-executed second script still
-    // hits). A non-empty journal is always replayed (via recover_all with
-    // one request) even when no script durably started: it can hold
-    // membership announcements the wire already delivered.
-    std::size_t started = 0;
-    for (std::size_t i = 0; i < journal.size(); ++i) {
-      if (journal.at(i).kind == RecordKind::kScriptStart) ++started;
-    }
-    ClusterBft recovered(w.sim, w.dfs, w.seam->transport, w.seam->programs,
+    const std::size_t records = ref_journal.size();
+    for (std::size_t k = 0; k < records; ++k) {
+      SCOPED_TRACE("crash at journal record " + std::to_string(k));
+      World w;
+      Journal journal;
+      journal.set_crash_at(k);
+      ClusterBft crashed(w.sim, w.dfs, w.seam->transport, w.seam->programs,
                          &journal);
-    std::vector<ScriptResult> got;
-    if (journal.size() > 0) {
-      got = recovered.recover_all(std::vector<ClientRequest>(
-          std::max<std::size_t>(started, 1), req));
+      try {
+        (void)crashed.execute(req);
+        (void)crashed.execute(req);
+        FAIL() << "crash point never fired";
+      } catch (const ControllerCrashed&) {
+      }
+      ASSERT_TRUE(journal.crashed());
+
+      // Only sessions whose kScriptStart reached the journal were in flight
+      // at the crash; those are recovered. The rest were never submitted —
+      // the client re-executes them on the recovered controller, whose
+      // cache was rebuilt by replay (so the re-executed second script still
+      // hits). A non-empty journal is always replayed (via recover_all with
+      // one request) even when no script durably started: it can hold
+      // membership announcements the wire already delivered.
+      std::size_t started = 0;
+      for (std::size_t i = 0; i < journal.size(); ++i) {
+        if (journal.at(i).kind == RecordKind::kScriptStart) ++started;
+      }
+      ClusterBft recovered(w.sim, w.dfs, w.seam->transport, w.seam->programs,
+                           &journal);
+      std::vector<ScriptResult> got;
+      if (journal.size() > 0) {
+        got = recovered.recover_all(std::vector<ClientRequest>(
+            std::max<std::size_t>(started, 1), req));
+      }
+      while (got.size() < 2) got.push_back(recovered.execute(req));
+      expect_equal({got[0], recovered.audit_log().transcript("recover#1")},
+                   want_cold);
+      expect_equal({got[1], recovered.audit_log().transcript("recover#2")},
+                   want_hit);
+      EXPECT_FALSE(journal.recovery_pending());
     }
-    while (got.size() < 2) got.push_back(recovered.execute(req));
-    expect_equal({got[0], recovered.audit_log().transcript("recover#1")},
-                 want_cold);
-    expect_equal({got[1], recovered.audit_log().transcript("recover#2")},
-                 want_hit);
-    EXPECT_FALSE(journal.recovery_pending());
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,7 @@
 #include "common/guarded.hpp"
 #include "core/controller.hpp"
 #include "core/journal.hpp"
-#include "core/result_cache.hpp"
+#include "core/verified_store.hpp"
 #include "dataflow/interpreter.hpp"
 #include "dataflow/parser.hpp"
 #include "protocol/seam.hpp"
@@ -187,31 +188,37 @@ TEST(FrontendTest, ConvictionInvalidatesDependentCacheEntries) {
   // dependent entry (the controller wires invalidate_node into
   // attribute_commission and kProbeCommission outcomes).
   const common::RoleGuard held(common::scheduler_thread_role);
-  core::ResultCache cache;
+  core::VerifiedStore cache;
   const crypto::Digest256 ka = crypto::Digest256::of("subgraph-a");
   const crypto::Digest256 kb = crypto::Digest256::of("subgraph-b");
   const crypto::Digest256 kc = crypto::Digest256::of("subgraph-c");
-  cache.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a", {0, 1, 2}});
+  cache.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a", 0, {0, 1, 2}});
   // A dependent entry inherits its dependency's contributors.
-  cache.insert(kb, {crypto::Digest256::of("fp-b"), "wave/b", {0, 1, 2, 3}});
-  cache.insert(kc, {crypto::Digest256::of("fp-c"), "wave/c", {4, 5}});
+  cache.insert(kb, {crypto::Digest256::of("fp-b"), "wave/b", 0, {0, 1, 2, 3}});
+  cache.insert(kc, {crypto::Digest256::of("fp-c"), "wave/c", 0, {4, 5}});
   // First insert wins: re-inserting under ka must not churn the path.
-  cache.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a2", {7}});
-  ASSERT_NE(cache.lookup(ka), nullptr);
-  EXPECT_EQ(cache.lookup(ka)->output_path, "wave/a");
+  cache.insert(ka, {crypto::Digest256::of("fp-a"), "wave/a2", 0, {7}});
+  const core::VerifiedStore::Entry* got = cache.lookup(ka);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->path, "wave/a");
+  EXPECT_EQ(got->fingerprint, crypto::Digest256::of("fp-a"));
+  EXPECT_EQ(got->contributors, (std::set<cluster::NodeId>{0, 1, 2}));
 
   // Convict node 2: a and b (which depends on a) die, c survives.
   EXPECT_EQ(cache.invalidate_node(2), 2u);
   EXPECT_EQ(cache.lookup(ka), nullptr);
   EXPECT_EQ(cache.lookup(kb), nullptr);
   ASSERT_NE(cache.lookup(kc), nullptr);
-  EXPECT_EQ(cache.lookup(kc)->output_path, "wave/c");
-  // Convicting a non-contributor is a no-op.
+  EXPECT_EQ(cache.lookup(kc)->path, "wave/c");
+  // Convicting a node that no longer contributes to anything is a no-op.
   EXPECT_EQ(cache.invalidate_node(2), 0u);
 
-  const auto& stats = cache.stats();
+  const core::VerifiedStore::Stats& stats = cache.stats();
   EXPECT_EQ(stats.insertions, 3u) << "duplicate insert must not count";
+  EXPECT_EQ(stats.bytes_written, 0u);
   EXPECT_EQ(stats.invalidated, 2u);
+  EXPECT_EQ(stats.lookups, 5u);
+  EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(cache.size(), 1u);
 }
 

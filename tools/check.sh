@@ -67,6 +67,23 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 MODE="${1:-full}"
 
+# Seeded-suite gate: build the given targets, then run the ctest subset
+# matching REGEX three consecutive times. Every suite it runs is seeded
+# and deterministic, so a single flake is a bug, not noise.
+#   run_seeded_gate NAME REGEX TARGET...
+run_seeded_gate() {
+  local name="$1" regex="$2"
+  shift 2
+  echo "== $name gate: build $* =="
+  cmake -S "$ROOT" -B "$ROOT/build" >/dev/null
+  cmake --build "$ROOT/build" --target "$@" -j "$JOBS"
+  for i in 1 2 3; do
+    echo "== $name gate: pass $i/3 =="
+    ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" \
+      -R "$regex"
+  done
+}
+
 run_lint() {
   if command -v python3 >/dev/null 2>&1; then
     echo "== determinism lint =="
@@ -139,15 +156,8 @@ case "$MODE" in
     # Chaos gate: the whole point of a seeded fault model is that these
     # suites are bit-reproducible — three consecutive clean passes is the
     # bar the safety invariants are held to.
-    echo "== chaos gate: build the chaos + crash-recovery suites =="
-    cmake -S "$ROOT" -B "$ROOT/build" >/dev/null
-    cmake --build "$ROOT/build" \
-      --target chaos_sweep_test crash_recovery_test -j "$JOBS"
-    for i in 1 2 3; do
-      echo "== chaos gate: pass $i/3 =="
-      ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" \
-        -R 'ChaosSweep|CrashRecovery'
-    done
+    run_seeded_gate chaos 'ChaosSweep|CrashRecovery' \
+      chaos_sweep_test crash_recovery_test
     echo "check.sh: chaos gate OK (3/3 clean)"
     ;;
 
@@ -160,15 +170,8 @@ case "$MODE" in
     # concurrently in flight (the ConcurrentChaosSweep suite). All of it
     # is seeded and deterministic, so the bar is three consecutive clean
     # passes, same as the chaos gate.
-    echo "== frontend gate: build the frontend + chaos + recovery suites =="
-    cmake -S "$ROOT" -B "$ROOT/build" >/dev/null
-    cmake --build "$ROOT/build" \
-      --target frontend_test chaos_sweep_test crash_recovery_test -j "$JOBS"
-    for i in 1 2 3; do
-      echo "== frontend gate: pass $i/3 =="
-      ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" \
-        -R 'Frontend|ConcurrentChaosSweep|CrashRecovery'
-    done
+    run_seeded_gate frontend 'Frontend|ConcurrentChaosSweep|CrashRecovery' \
+      frontend_test chaos_sweep_test crash_recovery_test
     echo "check.sh: frontend gate OK (3/3 clean)"
     ;;
 
@@ -179,16 +182,9 @@ case "$MODE" in
     # and deterministic, so the bar is three consecutive clean passes —
     # plus the bench_multicloud exit-code bars (failover completes the
     # Fig. 9 workload where the pinned policy reports pool exhaustion).
-    echo "== multicloud gate: build the multicloud + chaos + recovery suites =="
-    cmake -S "$ROOT" -B "$ROOT/build" >/dev/null
-    cmake --build "$ROOT/build" \
-      --target multicloud_test chaos_sweep_test crash_recovery_test \
-      bench_multicloud -j "$JOBS"
-    for i in 1 2 3; do
-      echo "== multicloud gate: pass $i/3 =="
-      ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" \
-        -R 'MultiCloud|PlacementOrder|CloudOutage|CloudFailover'
-    done
+    run_seeded_gate multicloud \
+      'MultiCloud|PlacementOrder|CloudOutage|CloudFailover' \
+      multicloud_test chaos_sweep_test crash_recovery_test bench_multicloud
     echo "== multicloud gate: bench_multicloud bars =="
     (cd "$ROOT/build/bench" && ./bench_multicloud)
     echo "check.sh: multicloud gate OK (3/3 clean)"
