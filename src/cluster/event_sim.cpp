@@ -1,20 +1,26 @@
 #include "cluster/event_sim.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace clusterbft::cluster {
 
 void EventSim::schedule_at(SimTime at, Action fn) {
   CBFT_CHECK_MSG(at >= now_, "cannot schedule in the past");
-  queue_.push(Event{at, seq_++, std::move(fn)});
+  queue_.push_back(Event{at, seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 bool EventSim::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top returns const&; the action is moved out via a copy
-  // of the (small) Event shell before pop.
-  Event e = queue_.top();
-  queue_.pop();
+  // pop_heap moves the earliest event to the back; take it from there by
+  // move. A copy would copy the action's std::function and everything it
+  // captured (task results included).
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event e = std::move(queue_.back());
+  queue_.pop_back();
   now_ = e.at;
   e.fn();
   return true;

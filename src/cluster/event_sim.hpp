@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace clusterbft::cluster {
@@ -54,7 +53,10 @@ class EventSim {
 
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// A binary heap under Later (std::push_heap/pop_heap), kept by hand
+  /// rather than in a std::priority_queue so step() can move the earliest
+  /// event out instead of copying it.
+  std::vector<Event> queue_;
 };
 
 }  // namespace clusterbft::cluster

@@ -296,15 +296,18 @@ void ExecutionTracker::start_task(NodeId nid, const TaskRef& ref) {
     }
   } else {
     const std::size_t partition = ref.index;
-    // Copied (not referenced): runs_ may grow while the payload is in
-    // flight, and the corruption below must not touch the shuffle buffer.
-    std::vector<Relation> inputs = run.shuffle[partition];
+    // Moved out, not referenced: runs_ may grow while the payload is in
+    // flight. begin_reduce_phase queues each partition exactly once and
+    // nothing reads the shuffle buffer after dispatch, so the payload owns
+    // its rows (and any corruption below stays in them).
+    std::vector<Relation> inputs = std::move(run.shuffle[partition]);
     if (commission && !pol.lie_in_digest) {
       corrupt_relation(inputs[0], rng);
     }
     auto payload = [plan = run.plan, spec = run.spec, partition,
-                    inputs = std::move(inputs)]() {
-      return mapreduce::run_reduce_task(*plan, *spec, partition, inputs);
+                    inputs = std::move(inputs)]() mutable {
+      return mapreduce::run_reduce_task(*plan, *spec, partition,
+                                        std::move(inputs));
     };
     if (pool_ != nullptr && !lies) {
       fl.reduce_future = pool_->submit(std::move(payload));
@@ -435,10 +438,7 @@ void ExecutionTracker::complete_map_task(NodeId nid, const TaskRef& ref,
       if (bucket.schema().size() == 0) {
         bucket = Relation(result.partitions[p].schema());
       }
-      bucket.reserve(bucket.size() + result.partitions[p].size());
-      for (dataflow::Tuple& t : result.partitions[p].rows()) {
-        bucket.add(std::move(t));
-      }
+      bucket.append(std::move(result.partitions[p]));
     }
   }
 
@@ -510,11 +510,9 @@ void ExecutionTracker::finish_run(std::size_t run_id) {
   const dataflow::Schema& out_schema =
       run.plan->node(run.spec->output_vertex).schema;
   Relation out(out_schema);
-  for (Relation& slice : run.direct_slices) {
-    for (dataflow::Tuple& t : slice.rows()) out.add(std::move(t));
-  }
-  run.metrics.hdfs_write += out.byte_size();
+  for (Relation& slice : run.direct_slices) out.append(std::move(slice));
   dfs_.write(run.output_path, std::move(out));
+  run.metrics.hdfs_write += dfs_.size_of(run.output_path);
 
   run.metrics.finish_time = sim_.now();
   run.complete = true;

@@ -11,6 +11,15 @@ std::map<std::string, Relation> interpret(
     const LogicalPlan& plan, const std::map<std::string, Relation>& inputs) {
   std::vector<Relation> results(plan.size());
   std::map<std::string, Relation> stored;
+  // Consumers left per result: the last one takes the relation instead of
+  // a copy.
+  std::vector<std::size_t> uses(plan.size(), 0);
+  for (const OpNode& n : plan.nodes()) {
+    for (const OpId in : n.inputs) ++uses[in];
+  }
+  const auto take = [&](OpId in) {
+    return --uses[in] == 0 ? std::move(results[in]) : results[in];
+  };
 
   for (const OpNode& n : plan.nodes()) {  // construction order is topological
     switch (n.kind) {
@@ -23,13 +32,13 @@ std::map<std::string, Relation> interpret(
         break;
       }
       case OpKind::kStore:
-        stored[n.path] = results[n.inputs[0]];
+        stored[n.path] = take(n.inputs[0]);
         break;
       default: {
-        std::vector<const Relation*> ins;
+        std::vector<Relation> ins;
         ins.reserve(n.inputs.size());
-        for (OpId in : n.inputs) ins.push_back(&results[in]);
-        results[n.id] = eval_op(n, ins);
+        for (OpId in : n.inputs) ins.push_back(take(in));
+        results[n.id] = eval_op(n, std::move(ins));
         break;
       }
     }

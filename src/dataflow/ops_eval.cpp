@@ -9,12 +9,15 @@
 
 namespace clusterbft::dataflow {
 
-Relation eval_filter(const OpNode& op, const Relation& in) {
-  Relation out(op.schema);
-  for (const Tuple& t : in.rows()) {
-    if (is_truthy(eval_expr(*op.predicate, t))) out.add(t);
-  }
-  return out;
+Relation eval_filter(const OpNode& op, Relation in) {
+  // Compacts the owned rows in place: kept rows are moved, never copied.
+  std::vector<Tuple>& rows = in.rows();
+  rows.erase(std::remove_if(rows.begin(), rows.end(),
+                            [&op](const Tuple& t) {
+                              return !is_truthy(eval_expr(*op.predicate, t));
+                            }),
+             rows.end());
+  return Relation(op.schema, std::move(rows));
 }
 
 Relation eval_foreach(const OpNode& op, const Relation& in) {
@@ -69,41 +72,65 @@ std::vector<std::size_t> key_sorted_ids(std::size_t n, KeyOf key_of) {
   return order;
 }
 
-void sort_bag(std::vector<Tuple>& rows) {
-  std::sort(rows.begin(), rows.end(),
-            [](const Tuple& a, const Tuple& b) { return (a <=> b) < 0; });
+/// The columns a bag sort compares: every column below `width` (the
+/// widest row) except the bag's key columns.
+std::vector<std::size_t> non_key_columns(
+    std::size_t width, const std::vector<std::size_t>& keys) {
+  std::vector<std::size_t> cols;
+  for (std::size_t c = 0; c < width; ++c) {
+    if (std::find(keys.begin(), keys.end(), c) == keys.end()) cols.push_back(c);
+  }
+  return cols;
+}
+
+/// Sort a bag into canonical full-tuple order. Every row of a bag has
+/// byte-identical key columns — that is how it got into the bag — so
+/// comparing them could only return `equal`; comparing the remaining
+/// columns `cols` (ascending) and then the arity yields exactly the
+/// full-tuple order with fewer Value comparisons.
+void sort_bag(std::vector<Tuple>& rows, const std::vector<std::size_t>& cols) {
+  std::sort(rows.begin(), rows.end(), [&cols](const Tuple& a, const Tuple& b) {
+    const std::size_t n = std::min(a.size(), b.size());
+    for (const std::size_t c : cols) {
+      if (c >= n) break;
+      const auto o = a.fields[c] <=> b.fields[c];
+      if (o != std::strong_ordering::equal) return o < 0;
+    }
+    return a.size() < b.size();
+  });
 }
 
 }  // namespace
 
-Relation eval_group(const OpNode& op, const Relation& in) {
+Relation eval_group(const OpNode& op, Relation in) {
   // Hash-partitioned grouping on canonical key bytes (serialisation is
   // injective, so byte equality == key equality). Groups are emitted in
   // canonical key order with canonically sorted bags, which makes the
   // result independent of the input row order — replicas fed the shuffle
   // in different map-completion orders still produce identical bytes.
+  // The rows are owned, so each moves into its bag.
   KeyIndex idx(in.size() / 4 + 1);
   std::vector<std::vector<Tuple>> bags;
-  std::vector<const Tuple*> reps;  // one representative row per key
+  std::size_t width = 0;
   std::string buf;
-  for (const Tuple& t : in.rows()) {
+  for (Tuple& t : in.rows()) {
     const std::uint64_t h = tuple_cols_hash(t, op.group_keys, buf);
     const std::size_t id = idx.intern(buf, h);
-    if (id == bags.size()) {
-      bags.emplace_back();
-      reps.push_back(&t);
-    }
-    bags[id].push_back(t);
+    if (id == bags.size()) bags.emplace_back();
+    width = std::max(width, t.size());
+    bags[id].push_back(std::move(t));
   }
+  // Any row of a bag carries its key (see sort_bag).
   const auto order = key_sorted_ids(idx.size(), [&](std::size_t id) {
-    return extract_key(*reps[id], op.group_keys);
+    return extract_key(bags[id].front(), op.group_keys);
   });
+  const std::vector<std::size_t> cols = non_key_columns(width, op.group_keys);
   Relation out(op.schema);
   out.reserve(order.size());
   for (const std::size_t id : order) {
-    sort_bag(bags[id]);
     Tuple o;
-    o.fields.push_back(extract_key(*reps[id], op.group_keys));
+    o.fields.push_back(extract_key(bags[id].front(), op.group_keys));
+    sort_bag(bags[id], cols);
     o.fields.push_back(Value(
         std::make_shared<const std::vector<Tuple>>(std::move(bags[id]))));
     out.add(std::move(o));
@@ -168,6 +195,7 @@ Relation eval_cogroup(const OpNode& op, const Relation& left,
   const auto absorb = [&](const Relation& rel,
                           const std::vector<std::size_t>& key_cols,
                           bool is_left) {
+    std::size_t width = 0;
     for (const Tuple& t : rel.rows()) {
       const std::uint64_t h = tuple_cols_hash(t, key_cols, buf);
       const std::size_t id = idx.intern(buf, h);
@@ -175,18 +203,20 @@ Relation eval_cogroup(const OpNode& op, const Relation& left,
         bags.emplace_back();
         keys.push_back(extract_key(t, key_cols));
       }
+      width = std::max(width, t.size());
       (is_left ? bags[id].first : bags[id].second).push_back(t);
     }
+    return non_key_columns(width, key_cols);
   };
-  absorb(left, op.left_keys, /*is_left=*/true);
-  absorb(right, op.right_keys, /*is_left=*/false);
+  const auto left_cols = absorb(left, op.left_keys, /*is_left=*/true);
+  const auto right_cols = absorb(right, op.right_keys, /*is_left=*/false);
   const auto order = key_sorted_ids(
       idx.size(), [&](std::size_t id) { return keys[id]; });
   Relation out(op.schema);
   out.reserve(order.size());
   for (const std::size_t id : order) {
-    sort_bag(bags[id].first);
-    sort_bag(bags[id].second);
+    sort_bag(bags[id].first, left_cols);
+    sort_bag(bags[id].second, right_cols);
     Tuple o;
     o.fields.push_back(std::move(keys[id]));
     o.fields.push_back(Value(std::make_shared<const std::vector<Tuple>>(
@@ -218,8 +248,8 @@ Relation eval_distinct(const OpNode& op, const Relation& in) {
   return Relation(op.schema, std::move(rows));
 }
 
-Relation eval_order(const OpNode& op, const Relation& in) {
-  std::vector<Tuple> rows = in.rows();
+Relation eval_order(const OpNode& op, Relation in) {
+  std::vector<Tuple> rows = std::move(in.rows());
   std::stable_sort(rows.begin(), rows.end(),
                    [&op](const Tuple& a, const Tuple& b) {
                      for (const SortKey& k : op.sort_keys) {
@@ -242,34 +272,37 @@ Relation eval_limit(const OpNode& op, const Relation& in) {
   return out;
 }
 
-Relation eval_op(const OpNode& op, const std::vector<const Relation*>& ins) {
+Relation eval_op(const OpNode& op, std::vector<Relation> ins) {
   switch (op.kind) {
     case OpKind::kFilter:
       CBFT_CHECK(ins.size() == 1);
-      return eval_filter(op, *ins[0]);
+      return eval_filter(op, std::move(ins[0]));
     case OpKind::kForeach:
       CBFT_CHECK(ins.size() == 1);
-      return eval_foreach(op, *ins[0]);
+      return eval_foreach(op, ins[0]);
     case OpKind::kGroup:
       CBFT_CHECK(ins.size() == 1);
-      return eval_group(op, *ins[0]);
+      return eval_group(op, std::move(ins[0]));
     case OpKind::kJoin:
       CBFT_CHECK(ins.size() == 2);
-      return eval_join(op, *ins[0], *ins[1]);
+      return eval_join(op, ins[0], ins[1]);
     case OpKind::kCogroup:
       CBFT_CHECK(ins.size() == 2);
-      return eval_cogroup(op, *ins[0], *ins[1]);
-    case OpKind::kUnion:
-      return eval_union(op, ins);
+      return eval_cogroup(op, ins[0], ins[1]);
+    case OpKind::kUnion: {
+      std::vector<const Relation*> parts;
+      for (const Relation& r : ins) parts.push_back(&r);
+      return eval_union(op, parts);
+    }
     case OpKind::kDistinct:
       CBFT_CHECK(ins.size() == 1);
-      return eval_distinct(op, *ins[0]);
+      return eval_distinct(op, ins[0]);
     case OpKind::kOrder:
       CBFT_CHECK(ins.size() == 1);
-      return eval_order(op, *ins[0]);
+      return eval_order(op, std::move(ins[0]));
     case OpKind::kLimit:
       CBFT_CHECK(ins.size() == 1);
-      return eval_limit(op, *ins[0]);
+      return eval_limit(op, ins[0]);
     case OpKind::kLoad:
     case OpKind::kStore:
       CBFT_CHECK_MSG(false, "Load/Store are storage ops, not data ops");

@@ -5,6 +5,11 @@
 // task runtime (which applies them to partitions) call into here, so the
 // distributed execution provably computes the same function as the local
 // one — modulo row order, which MapReduce does not define.
+//
+// Operators that can reuse their input's rows (FILTER, GROUP, ORDER)
+// take the input by value: a caller that is done with a relation moves it
+// in and no row is copied; a caller that still needs it passes an lvalue
+// and pays one copy at the call.
 #pragma once
 
 #include <vector>
@@ -14,7 +19,7 @@
 
 namespace clusterbft::dataflow {
 
-Relation eval_filter(const OpNode& op, const Relation& in);
+Relation eval_filter(const OpNode& op, Relation in);
 Relation eval_foreach(const OpNode& op, const Relation& in);
 
 /// GROUP BY. Hash-partitioned on canonical key bytes; groups are emitted
@@ -22,7 +27,7 @@ Relation eval_foreach(const OpNode& op, const Relation& in);
 /// independent of the input row order (every replica, regardless of the
 /// order tuples arrived from the shuffle, produces byte-identical groups
 /// — the determinism fix §5.4 defers to future work, implemented here).
-Relation eval_group(const OpNode& op, const Relation& in);
+Relation eval_group(const OpNode& op, Relation in);
 
 /// Inner equi-join (null keys never match). Output rows follow the left
 /// input order; per-key right matches follow the right input order, or —
@@ -41,11 +46,11 @@ Relation eval_cogroup(const OpNode& op, const Relation& left,
 
 Relation eval_union(const OpNode& op, const std::vector<const Relation*>& ins);
 Relation eval_distinct(const OpNode& op, const Relation& in);
-Relation eval_order(const OpNode& op, const Relation& in);
+Relation eval_order(const OpNode& op, Relation in);
 Relation eval_limit(const OpNode& op, const Relation& in);
 
-/// Dispatch on op.kind. Load/Store are handled by the caller (they touch
-/// storage, not data).
-Relation eval_op(const OpNode& op, const std::vector<const Relation*>& ins);
+/// Dispatch on op.kind, consuming `ins`. Load/Store are handled by the
+/// caller (they touch storage, not data).
+Relation eval_op(const OpNode& op, std::vector<Relation> ins);
 
 }  // namespace clusterbft::dataflow

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/check.hpp"
@@ -119,12 +120,17 @@ class Lexer {
       num.push_back(src_[pos_]);
       bump();
     }
-    if (is_double) {
-      tok_.kind = Tok::kDouble;
-      tok_.double_val = std::stod(num);
-    } else {
-      tok_.kind = Tok::kLong;
-      tok_.long_val = std::stoll(num);
+    try {
+      if (is_double) {
+        tok_.kind = Tok::kDouble;
+        tok_.double_val = std::stod(num);
+      } else {
+        tok_.kind = Tok::kLong;
+        tok_.long_val = std::stoll(num);
+      }
+    } catch (const std::out_of_range&) {
+      throw ParseError("numeric literal out of range: " + num, tok_.line,
+                       tok_.col);
     }
     tok_.text = num;
   }

@@ -1,10 +1,28 @@
 #include "dataflow/relation.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace clusterbft::dataflow {
 
+void Relation::append(Relation&& other) {
+  if (bytes_ && other.bytes_) {
+    *bytes_ += *other.bytes_;
+  } else {
+    bytes_.reset();
+  }
+  if (rows_.empty()) {
+    rows_ = std::move(other.rows_);
+  } else {
+    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
+                 std::make_move_iterator(other.rows_.end()));
+  }
+  other.rows_.clear();
+  other.bytes_ = 0;
+}
+
 std::uint64_t Relation::byte_size() const {
+  if (bytes_) return *bytes_;
   std::uint64_t total = 0;
   std::string buf;
   for (const Tuple& t : rows_) {

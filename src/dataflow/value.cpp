@@ -1,7 +1,6 @@
 #include "dataflow/value.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -45,10 +44,6 @@ const char* to_string(ValueType t) {
       return "tuple";
   }
   return "?";
-}
-
-ValueType Value::type() const {
-  return static_cast<ValueType>(v_.index());
 }
 
 std::int64_t Value::as_long() const {
@@ -123,25 +118,32 @@ bool operator==(const Value& a, const Value& b) {
 }
 
 std::strong_ordering operator<=>(const Value& a, const Value& b) {
-  const int ra = type_rank(a.type());
-  const int rb = type_rank(b.type());
-  if (ra != rb) return ra <=> rb;
-
-  switch (a.type()) {
+  // Dispatch on the variant index directly: the alternatives are known
+  // here, so the checked accessors' type tests would only repeat it.
+  const ValueType ta = a.type();
+  const ValueType tb = b.type();
+  if (ta != tb) {
+    const int ra = type_rank(ta);
+    const int rb = type_rank(tb);
+    if (ra != rb) return ra <=> rb;
+    // Same rank, different tags: a long against a double.
+    return order_doubles(a.to_double(), b.to_double());
+  }
+  switch (ta) {
     case ValueType::kNull:
       return std::strong_ordering::equal;
     case ValueType::kLong:
-      if (b.type() == ValueType::kLong) return a.as_long() <=> b.as_long();
-      return order_doubles(a.to_double(), b.to_double());
+      return *std::get_if<std::int64_t>(&a.v_) <=>
+             *std::get_if<std::int64_t>(&b.v_);
     case ValueType::kDouble:
-      return order_doubles(a.to_double(), b.to_double());
-    case ValueType::kChararray: {
-      const int c = a.as_string().compare(b.as_string());
-      return c <=> 0;
-    }
+      return order_doubles(*std::get_if<double>(&a.v_),
+                           *std::get_if<double>(&b.v_));
+    case ValueType::kChararray:
+      return std::get_if<std::string>(&a.v_)->compare(
+                 *std::get_if<std::string>(&b.v_)) <=> 0;
     case ValueType::kBag: {
-      const auto& ba = *a.as_bag();
-      const auto& bb = *b.as_bag();
+      const auto& ba = **std::get_if<Bag>(&a.v_);
+      const auto& bb = **std::get_if<Bag>(&b.v_);
       if (ba.size() != bb.size()) return ba.size() <=> bb.size();
       for (std::size_t i = 0; i < ba.size(); ++i) {
         const auto c = ba[i] <=> bb[i];
@@ -150,7 +152,8 @@ std::strong_ordering operator<=>(const Value& a, const Value& b) {
       return std::strong_ordering::equal;
     }
     case ValueType::kTuple:
-      return *a.as_tuple() <=> *b.as_tuple();
+      return **std::get_if<BoxedTuple>(&a.v_) <=>
+             **std::get_if<BoxedTuple>(&b.v_);
   }
   return std::strong_ordering::equal;
 }
@@ -162,9 +165,10 @@ std::string Value::to_string() const {
     case ValueType::kLong:
       return std::to_string(as_long());
     case ValueType::kDouble: {
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.6g", as_double());
-      return buf;
+      char buf[32];
+      const auto r = std::to_chars(buf, buf + sizeof(buf), as_double(),
+                                   std::chars_format::general, 6);
+      return std::string(buf, r.ptr);
     }
     case ValueType::kChararray:
       return as_string();
@@ -197,41 +201,50 @@ std::string Value::to_string() const {
   return "?";
 }
 
+namespace {
+
+/// Appends `x` in decimal. std::to_chars is specified to produce exactly
+/// what printf("%" PRId64) / ("%zu") does, without the format parsing.
+template <typename Int>
+void append_decimal(std::string& out, Int x) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), x);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
 void Value::serialize(std::string& out) const {
   out.push_back(static_cast<char>(type()));
   switch (type()) {
     case ValueType::kNull:
       break;
-    case ValueType::kLong: {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%" PRId64, as_long());
-      out += buf;
+    case ValueType::kLong:
+      append_decimal(out, *std::get_if<std::int64_t>(&v_));
       out.push_back('\x1f');
       break;
-    }
     case ValueType::kDouble: {
-      // %.17g round-trips IEEE doubles exactly; replicas computing the
-      // same double serialise identically.
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", as_double());
-      out += buf;
+      // general format at precision 17 is printf's %.17g by definition
+      // ([charconv.to.chars]): it round-trips IEEE doubles exactly, so
+      // replicas computing the same double serialise identically.
+      char buf[32];
+      const auto r =
+          std::to_chars(buf, buf + sizeof(buf), *std::get_if<double>(&v_),
+                        std::chars_format::general, 17);
+      out.append(buf, r.ptr);
       out.push_back('\x1f');
       break;
     }
     case ValueType::kChararray: {
-      const auto& s = as_string();
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%zu", s.size());
-      out += buf;
+      const auto& s = *std::get_if<std::string>(&v_);
+      append_decimal(out, s.size());
       out.push_back(':');
       out += s;
       break;
     }
     case ValueType::kBag: {
-      const auto& bag = *as_bag();
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%zu", bag.size());
-      out += buf;
+      const auto& bag = **std::get_if<Bag>(&v_);
+      append_decimal(out, bag.size());
       out.push_back('[');
       for (const Tuple& t : bag) {
         for (const Value& v : t.fields) v.serialize(out);
@@ -241,10 +254,8 @@ void Value::serialize(std::string& out) const {
       break;
     }
     case ValueType::kTuple: {
-      const Tuple& t = *as_tuple();
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%zu", t.size());
-      out += buf;
+      const Tuple& t = **std::get_if<BoxedTuple>(&v_);
+      append_decimal(out, t.size());
       out.push_back('(');
       for (const Value& v : t.fields) v.serialize(out);
       out.push_back(')');

@@ -78,7 +78,7 @@ class Value {
     return Value(std::make_shared<const Tuple>(std::move(fields)));
   }
 
-  ValueType type() const;
+  ValueType type() const { return static_cast<ValueType>(v_.index()); }
   bool is_null() const { return type() == ValueType::kNull; }
 
   /// Typed accessors; CBFT_CHECK on type mismatch.

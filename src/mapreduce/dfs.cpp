@@ -10,23 +10,26 @@ bool Dfs::exists(const std::string& path) const {
 
 void Dfs::write(const std::string& path, dataflow::Relation rel) {
   File f;
-  f.byte_size = rel.byte_size();
   // Pre-compute split boundaries: pack rows greedily into block_size_
   // chunks of canonical bytes. Deterministic, so every replica sees the
-  // same splits — a precondition for comparable per-split digests.
+  // same splits — a precondition for comparable per-split digests. The
+  // same pass records the split and file byte counts.
   f.split_starts.push_back(0);
-  std::uint64_t in_block = 0;
+  f.split_bytes.push_back(0);
   std::string row_buf;
   for (std::size_t i = 0; i < rel.rows().size(); ++i) {
     dataflow::serialize_tuple_into(rel.rows()[i], row_buf);
     const std::uint64_t row_bytes = row_buf.size();
-    if (in_block > 0 && in_block + row_bytes > block_size_) {
+    if (f.split_bytes.back() > 0 &&
+        f.split_bytes.back() + row_bytes > block_size_) {
       f.split_starts.push_back(i);
-      in_block = 0;
+      f.split_bytes.push_back(0);
     }
-    in_block += row_bytes;
+    f.split_bytes.back() += row_bytes;
+    f.byte_size += row_bytes;
   }
   f.rel = std::move(rel);
+  f.rel.set_byte_size(f.byte_size);
   metrics_.bytes_written += f.byte_size;
   files_[path] = std::move(f);
 }
@@ -55,13 +58,18 @@ dataflow::Relation Dfs::read_split(const std::string& path,
                                    std::size_t index) {
   const File& f = file_at(path);
   CBFT_CHECK_MSG(index < f.split_starts.size(), "DFS: split out of range");
+  const auto& rows = f.rel.rows();
   const std::size_t begin = f.split_starts[index];
   const std::size_t end = (index + 1 < f.split_starts.size())
                               ? f.split_starts[index + 1]
-                              : f.rel.rows().size();
-  dataflow::Relation out(f.rel.schema());
-  for (std::size_t i = begin; i < end; ++i) out.add(f.rel.rows()[i]);
-  metrics_.bytes_read += out.byte_size();
+                              : rows.size();
+  dataflow::Relation out(
+      f.rel.schema(),
+      std::vector<dataflow::Tuple>(
+          rows.begin() + static_cast<std::ptrdiff_t>(begin),
+          rows.begin() + static_cast<std::ptrdiff_t>(end)));
+  out.set_byte_size(f.split_bytes[index]);
+  metrics_.bytes_read += f.split_bytes[index];
   return out;
 }
 

@@ -64,11 +64,15 @@ class Dfs {
   std::vector<std::string> list() const;
 
  private:
+  /// Byte counts are taken once, in write(); every read accounts from
+  /// them instead of re-serialising rows.
   struct File {
     dataflow::Relation rel;
     std::uint64_t byte_size = 0;
     /// Row index where each split begins (split i = [starts[i], starts[i+1])).
     std::vector<std::size_t> split_starts;
+    /// Canonical bytes of each split; they sum to byte_size.
+    std::vector<std::uint64_t> split_bytes;
   };
 
   const File& file_at(const std::string& path) const;

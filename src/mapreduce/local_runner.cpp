@@ -90,8 +90,7 @@ void run_one_job(const dataflow::LogicalPlan& plan, const MRJobSpec& spec,
       if (bucket.schema().size() == 0) {
         bucket = Relation(r.partitions[p].schema());
       }
-      bucket.reserve(bucket.size() + r.partitions[p].size());
-      for (Tuple& t : r.partitions[p].rows()) bucket.add(std::move(t));
+      bucket.append(std::move(r.partitions[p]));
     }
   }
 
@@ -111,16 +110,18 @@ void run_one_job(const dataflow::LogicalPlan& plan, const MRJobSpec& spec,
       }
     }
     direct_slices.resize(spec.num_reducers);
-    // The shuffle is complete and read-only from here on, so reduce
-    // payloads borrow their partitions by reference even on the pool.
+    // The shuffle is complete from here on and each partition goes to
+    // exactly one reduce payload, which takes it by move (on the pool
+    // too: no two payloads touch the same partition).
     std::vector<PendingTask<ReduceTaskResult>> reduces(spec.num_reducers);
     for (std::size_t p = 0; p < spec.num_reducers; ++p) {
       if (pool != nullptr) {
         reduces[p].future = pool->submit([&plan, &spec, p, &shuffle]() {
-          return run_reduce_task(plan, spec, p, shuffle[p]);
+          return run_reduce_task(plan, spec, p, std::move(shuffle[p]));
         });
       } else {
-        reduces[p].ready = run_reduce_task(plan, spec, p, shuffle[p]);
+        reduces[p].ready =
+            run_reduce_task(plan, spec, p, std::move(shuffle[p]));
       }
     }
     for (std::size_t p = 0; p < spec.num_reducers; ++p) {
@@ -137,7 +138,7 @@ void run_one_job(const dataflow::LogicalPlan& plan, const MRJobSpec& spec,
     if (output.schema().size() == 0 && slice.schema().size() != 0) {
       output = Relation(slice.schema());
     }
-    for (Tuple& t : slice.rows()) output.add(std::move(t));
+    output.append(std::move(slice));
   }
   if (output.schema().size() == 0) {
     output = Relation(plan.node(spec.output_vertex).schema);

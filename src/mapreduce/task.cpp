@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "crypto/digest.hpp"
@@ -19,20 +20,24 @@ using dataflow::Tuple;
 namespace {
 
 /// Digest the stream produced by `vertex` if the job marks it, appending
-/// reports keyed for this task.
+/// reports keyed for this task. The serialisation that feeds the digest
+/// also counts the stream's canonical bytes, which are recorded on it.
 void digest_if_marked(const MRJobSpec& job, OpId vertex, bool reduce_side,
                       std::size_t branch, std::size_t partition,
-                      const Relation& stream, TaskMetrics& metrics,
+                      Relation& stream, TaskMetrics& metrics,
                       std::vector<DigestReport>& out) {
   for (const VerificationPoint& vp : job.vps) {
     if (vp.vertex != vertex) continue;
     crypto::ChunkedDigester digester(vp.records_per_digest);
     std::string bytes;  // one buffer for the whole stream, not one per tuple
+    std::uint64_t total = 0;
     for (const Tuple& t : stream.rows()) {
       dataflow::serialize_tuple_into(t, bytes);
-      metrics.digested_bytes += bytes.size();
+      total += bytes.size();
       digester.add_record(bytes);
     }
+    metrics.digested_bytes += total;
+    stream.set_byte_size(total);
     for (const crypto::ChunkDigest& cd : digester.finish()) {
       DigestReport r;
       r.key = DigestKey{job.sid, vertex, reduce_side, branch, partition,
@@ -45,13 +50,14 @@ void digest_if_marked(const MRJobSpec& job, OpId vertex, bool reduce_side,
   }
 }
 
-}  // namespace
-
-std::size_t shuffle_partition(const OpNode& blocking_op, int tag,
-                              const Tuple& t, std::size_t num_reducers) {
-  std::string key_buf;
-  return shuffle_partition(blocking_op, tag, t, num_reducers, key_buf);
+/// `rel` as the sole input of an operator, which may take its rows.
+std::vector<Relation> sole_input(Relation& rel) {
+  std::vector<Relation> ins;
+  ins.push_back(std::move(rel));
+  return ins;
 }
+
+}  // namespace
 
 std::size_t shuffle_partition(const OpNode& blocking_op, int tag,
                               const Tuple& t, std::size_t num_reducers,
@@ -93,7 +99,7 @@ MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
   const MapBranch& br = job.branches[branch];
 
   MapTaskResult result;
-  result.metrics.input_bytes = split_rows.byte_size();
+  result.metrics.input_bytes = split_rows.byte_size();  // known from the DFS
   result.metrics.records_in = split_rows.size();
 
   Relation cur = std::move(split_rows);
@@ -106,8 +112,7 @@ MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
       // Union is concatenation: per-branch it is the identity. The vertex
       // still exists as a digest position.
     } else {
-      std::vector<const Relation*> ins{&cur};
-      cur = dataflow::eval_op(op, ins);
+      cur = dataflow::eval_op(op, sole_input(cur));
     }
     digest_if_marked(job, op_id, /*reduce_side=*/false, branch, split_index,
                      cur, result.metrics, result.digests);
@@ -126,27 +131,33 @@ MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
   for (Relation& p : result.partitions) {
     p.reserve(cur.size() / job.num_reducers + 1);
   }
-  std::string key_buf;  // one serialisation buffer for the whole split
+  // Each row is serialised once more here, to count its partition's
+  // bytes; the counts travel with the partitions to the reduce side.
+  std::vector<std::uint64_t> part_bytes(job.num_reducers, 0);
+  std::string key_buf, row_buf;  // reused for the whole split
   for (Tuple& t : cur.rows()) {
     const std::size_t p =
         shuffle_partition(blocking, br.tag, t, job.num_reducers, key_buf);
+    dataflow::serialize_tuple_into(t, row_buf);
+    part_bytes[p] += row_buf.size();
     result.partitions[p].add(std::move(t));
   }
-  for (const Relation& p : result.partitions) {
-    result.metrics.output_bytes += p.byte_size();
+  for (std::size_t p = 0; p < job.num_reducers; ++p) {
+    result.partitions[p].set_byte_size(part_bytes[p]);
+    result.metrics.output_bytes += part_bytes[p];
   }
   return result;
 }
 
-ReduceTaskResult run_reduce_task(
-    const LogicalPlan& plan, const MRJobSpec& job, std::size_t partition,
-    const std::vector<Relation>& inputs_by_tag) {
+ReduceTaskResult run_reduce_task(const LogicalPlan& plan, const MRJobSpec& job,
+                                 std::size_t partition,
+                                 std::vector<Relation> inputs_by_tag) {
   CBFT_CHECK(!job.map_only());
   const OpNode& blocking = plan.node(*job.blocking);
 
   ReduceTaskResult result;
   for (const Relation& r : inputs_by_tag) {
-    result.metrics.input_bytes += r.byte_size();
+    result.metrics.input_bytes += r.byte_size();  // counted map-side
     result.metrics.records_in += r.size();
   }
 
@@ -164,8 +175,7 @@ ReduceTaskResult run_reduce_task(
     case OpKind::kDistinct:
     case OpKind::kOrder: {
       CBFT_CHECK(inputs_by_tag.size() == 1);
-      std::vector<const Relation*> ins{&inputs_by_tag[0]};
-      cur = dataflow::eval_op(blocking, ins);
+      cur = dataflow::eval_op(blocking, std::move(inputs_by_tag));
       break;
     }
     case OpKind::kLimit: {
@@ -195,9 +205,7 @@ ReduceTaskResult run_reduce_task(
                    result.metrics, result.digests);
 
   for (OpId op_id : job.reduce_ops) {
-    const OpNode& op = plan.node(op_id);
-    std::vector<const Relation*> ins{&cur};
-    cur = dataflow::eval_op(op, ins);
+    cur = dataflow::eval_op(plan.node(op_id), sole_input(cur));
     digest_if_marked(job, op_id, /*reduce_side=*/true, 0, partition, cur,
                      result.metrics, result.digests);
   }

@@ -58,20 +58,16 @@ MapTaskResult run_map_task(const dataflow::LogicalPlan& plan,
 
 /// Run reduce task `partition` of `job`. `inputs_by_tag[t]` holds the
 /// concatenated map outputs with branch tag `t` for this partition
-/// (size 1 for GROUP/DISTINCT/ORDER, 2 for JOIN).
+/// (size 1 for GROUP/DISTINCT/ORDER, 2 for JOIN). Taken by value like the
+/// map split: the execution tracker hands its shuffle partition over by
+/// move, and the blocking operator takes the rows from there.
 ReduceTaskResult run_reduce_task(
     const dataflow::LogicalPlan& plan, const MRJobSpec& job,
-    std::size_t partition,
-    const std::vector<dataflow::Relation>& inputs_by_tag);
+    std::size_t partition, std::vector<dataflow::Relation> inputs_by_tag);
 
 /// Reduce partition a tuple belongs to, given the job's blocking operator.
-/// Deterministic across replicas and platforms.
-std::size_t shuffle_partition(const dataflow::OpNode& blocking_op, int tag,
-                              const dataflow::Tuple& t,
-                              std::size_t num_reducers);
-
-/// Same, reusing `key_buf` for key serialisation — the map-side shuffle
-/// loop calls this per tuple and should not allocate per call.
+/// Deterministic across replicas and platforms. `key_buf` holds the key
+/// serialisation; the map-side shuffle loop reuses one buffer per split.
 std::size_t shuffle_partition(const dataflow::OpNode& blocking_op, int tag,
                               const dataflow::Tuple& t,
                               std::size_t num_reducers, std::string& key_buf);

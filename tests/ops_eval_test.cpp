@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace clusterbft::dataflow {
 namespace {
@@ -81,6 +85,93 @@ TEST(OpsEvalTest, GroupIsInputOrderInsensitive) {
   const Relation b = make({2, 0, 1});
   EXPECT_EQ(eval_group(group_op(a, 0), a).rows(),
             eval_group(group_op(b, 0), b).rows());
+}
+
+/// Rows of mixed-type values from small domains, so bags hold ties the
+/// canonical order must break the same way every time: 1 vs 1.0 (equal
+/// under <=>, different bytes), nulls, equal strings, a few wider rows.
+Relation mixed_rows(Rng& rng, std::size_t n) {
+  Relation r(Schema::of({{"a", ValueType::kLong},
+                         {"b", ValueType::kLong},
+                         {"c", ValueType::kLong},
+                         {"d", ValueType::kLong}}));
+  const auto value = [&rng]() -> Value {
+    switch (rng.next_below(4)) {
+      case 0:
+        return Value::null();
+      case 1:
+        return Value(rng.uniform_int(0, 2));
+      case 2:
+        return Value(static_cast<double>(rng.uniform_int(0, 2)));
+      default:
+        return Value(rng.chance(0.5) ? "x" : "y");
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    Tuple t;
+    t.fields.resize(rng.chance(0.1) ? 5 : 4);
+    for (Value& v : t.fields) v = value();
+    r.add(std::move(t));
+  }
+  return r;
+}
+
+std::string key_bytes(const Tuple& t, const std::vector<std::size_t>& keys) {
+  std::string out;
+  for (const std::size_t k : keys) t.at(k).serialize(out);
+  return out;
+}
+
+/// Every bag must be byte-for-byte the full-tuple std::sort of its rows in
+/// input order, whichever columns the bag sort may skip as keys.
+void expect_full_tuple_sorted_bags(const Relation& in,
+                                   const std::vector<std::size_t>& keys,
+                                   const Relation& out, std::size_t bag_col) {
+  std::map<std::string, std::vector<Tuple>> expected;
+  for (const Tuple& t : in.rows()) expected[key_bytes(t, keys)].push_back(t);
+  for (auto& [key, rows] : expected) {
+    std::sort(rows.begin(), rows.end(),
+              [](const Tuple& a, const Tuple& b) { return (a <=> b) < 0; });
+  }
+  std::size_t bags = 0;
+  for (const Tuple& o : out.rows()) {
+    const auto& bag = *o.at(bag_col).as_bag();
+    if (bag.empty()) continue;
+    ++bags;
+    const auto& want = expected.at(key_bytes(bag.front(), keys));
+    ASSERT_EQ(bag.size(), want.size());
+    for (std::size_t i = 0; i < bag.size(); ++i) {
+      ASSERT_EQ(serialize_tuple(bag[i]), serialize_tuple(want[i]));
+    }
+  }
+  EXPECT_EQ(bags, expected.size());
+}
+
+TEST(OpsEvalTest, GroupAndCogroupBagsAreExactFullTupleSort) {
+  Rng rng(13);
+  for (int round = 0; round < 20; ++round) {
+    const Relation in = mixed_rows(rng, 300);
+    for (const std::vector<std::size_t>& keys :
+         {std::vector<std::size_t>{1}, std::vector<std::size_t>{2, 0}}) {
+      OpNode op;
+      op.kind = OpKind::kGroup;
+      op.group_keys = keys;
+      op.schema = Schema::of({{"group", ValueType::kLong},
+                              {"bag", ValueType::kBag}});
+      expect_full_tuple_sorted_bags(in, keys, eval_group(op, in), 1);
+    }
+    const Relation right = mixed_rows(rng, 200);
+    OpNode cg;
+    cg.kind = OpKind::kCogroup;
+    cg.left_keys = {3};
+    cg.right_keys = {0};
+    cg.schema = Schema::of({{"group", ValueType::kLong},
+                            {"l", ValueType::kBag},
+                            {"r", ValueType::kBag}});
+    const Relation out = eval_cogroup(cg, in, right);
+    expect_full_tuple_sorted_bags(in, cg.left_keys, out, 1);
+    expect_full_tuple_sorted_bags(right, cg.right_keys, out, 2);
+  }
 }
 
 TEST(OpsEvalTest, JoinInnerEquiNullsNeverMatch) {

@@ -185,6 +185,31 @@ TEST(ParserTest, ErrorCases) {
                ParseError);
 }
 
+TEST(ParserTest, OutOfRangeLiteralsAreParseErrors) {
+  // One digit past INT64_MAX, and a double literal beyond DBL_MAX: both
+  // must fail as ParseError at the literal, not leak std::out_of_range.
+  const std::string huge_double = std::string(400, '9') + ".5";
+  const std::pair<std::string, std::size_t> cases[] = {
+      {"99999999999999999999999", 21},
+      {"9223372036854775808", 21},
+      {huge_double, 21},
+  };
+  for (const auto& [literal, col] : cases) {
+    try {
+      parse_script("a = LOAD 'i' AS (s:long);\nb = FILTER a BY s > " +
+                   literal + ";\nSTORE b INTO 'o';\n");
+      FAIL() << "expected ParseError for " << literal.size() << " digits";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), 2u);
+      EXPECT_EQ(e.column(), col);
+    }
+  }
+  // The largest long still parses.
+  EXPECT_NO_THROW(parse_script(
+      "a = LOAD 'i' AS (s:long);\n"
+      "b = FILTER a BY s > 9223372036854775807;\nSTORE b INTO 'o';\n"));
+}
+
 TEST(ParserTest, PaperScriptsParseAndValidate) {
   for (const std::string& script :
        {workloads::twitter_follower_analysis(),

@@ -112,18 +112,22 @@ TEST(TaskTest, ShufflePartitionIsDeterministicAndInRange) {
   dataflow::OpNode group;
   group.kind = dataflow::OpKind::kGroup;
   group.group_keys = {0};
+  std::string buf;
   for (std::int64_t k = 0; k < 100; ++k) {
     const Tuple t({dataflow::Value(k)});
-    const std::size_t p = shuffle_partition(group, 0, t, 7);
+    const std::size_t p = shuffle_partition(group, 0, t, 7, buf);
     EXPECT_LT(p, 7u);
-    EXPECT_EQ(p, shuffle_partition(group, 0, t, 7));
+    std::string fresh;
+    EXPECT_EQ(p, shuffle_partition(group, 0, t, 7, fresh));
   }
 }
 
 TEST(TaskTest, OrderAlwaysPartitionZero) {
   dataflow::OpNode order;
   order.kind = dataflow::OpKind::kOrder;
-  EXPECT_EQ(shuffle_partition(order, 0, Tuple({dataflow::Value("x")}), 1), 0u);
+  std::string buf;
+  EXPECT_EQ(shuffle_partition(order, 0, Tuple({dataflow::Value("x")}), 1, buf),
+            0u);
 }
 
 TEST(TaskTest, EveryScriptMatchesInterpreter) {

@@ -49,7 +49,11 @@
 #                                CLUSTERBFT_SHA256_BACKEND=scalar, and
 #                                diff the transcripts — the accelerated
 #                                kernels must be bit-identical to the
-#                                scalar reference
+#                                scalar reference — then compare the
+#                                transcript's SHA-256 with the golden
+#                                hash in tools/digest_parity.sha256, so
+#                                canonical bytes stay pinned across
+#                                commits too
 #   tools/check.sh --analyze     static-analysis gate: the regex
 #                                determinism lint over src, then the
 #                                AST-grounded analyzer (digest-
@@ -209,8 +213,17 @@ case "$MODE" in
            "the scalar reference" >&2
       exit 1
     fi
+    # Pinned across commits: a change to the canonical form, the digest
+    # framing or the verification-point sweep changes this hash.
+    golden=$(tr -d '[:space:]' < "$ROOT/tools/digest_parity.sha256")
+    actual=$(sha256sum < "$ROOT/build/parity_dispatch.txt" | cut -d' ' -f1)
+    if [[ "$actual" != "$golden" ]]; then
+      echo "check.sh: PARITY FAILURE — transcript SHA-256 $actual differs" \
+           "from the golden $golden (tools/digest_parity.sha256)" >&2
+      exit 1
+    fi
     lines=$(wc -l < "$ROOT/build/parity_dispatch.txt")
-    echo "check.sh: parity gate OK ($lines digest lines identical)"
+    echo "check.sh: parity gate OK ($lines digest lines identical, golden hash matches)"
     ;;
 
   --analyze)
