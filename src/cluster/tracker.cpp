@@ -9,7 +9,6 @@
 
 namespace clusterbft::cluster {
 
-using dataflow::OpKind;
 using dataflow::Relation;
 using mapreduce::MRJobSpec;
 
@@ -117,15 +116,7 @@ std::size_t ExecutionTracker::submit(const dataflow::LogicalPlan& plan,
   if (max_nodes > 0) {
     run.node_cap = std::max<std::size_t>(1, std::min(run.node_cap, max_nodes));
   }
-  if (!spec.map_only()) {
-    int max_tag = 0;
-    for (const mapreduce::MapBranch& b : spec.branches) {
-      max_tag = std::max(max_tag, b.tag);
-    }
-    run.shuffle.assign(spec.num_reducers,
-                       std::vector<Relation>(
-                           static_cast<std::size_t>(max_tag) + 1));
-  }
+  run.assembly = mapreduce::JobAssembler(plan, spec, run.map_tasks.size());
 
   runs_.push_back(std::move(run));
   const std::size_t run_id = runs_.size() - 1;
@@ -300,7 +291,7 @@ void ExecutionTracker::start_task(NodeId nid, const TaskRef& ref) {
     // flight. begin_reduce_phase queues each partition exactly once and
     // nothing reads the shuffle buffer after dispatch, so the payload owns
     // its rows (and any corruption below stays in them).
-    std::vector<Relation> inputs = std::move(run.shuffle[partition]);
+    std::vector<Relation> inputs = run.assembly.take_partition(partition);
     if (commission && !pol.lie_in_digest) {
       corrupt_relation(inputs[0], rng);
     }
@@ -425,22 +416,8 @@ void ExecutionTracker::complete_map_task(NodeId nid, const TaskRef& ref,
   }
 
   emit_digests(run, ref.run, nid, std::move(result.digests));
-
-  if (spec.map_only()) {
-    if (run.direct_slices.empty()) {
-      run.direct_slices.resize(run.map_tasks.size());
-    }
-    run.direct_slices[ref.index] = std::move(result.direct_output);
-  } else {
-    const int tag = spec.branches[run.map_tasks[ref.index].branch].tag;
-    for (std::size_t p = 0; p < result.partitions.size(); ++p) {
-      Relation& bucket = run.shuffle[p][static_cast<std::size_t>(tag)];
-      if (bucket.schema().size() == 0) {
-        bucket = Relation(result.partitions[p].schema());
-      }
-      bucket.append(std::move(result.partitions[p]));
-    }
-  }
+  run.assembly.add_map(ref.index, run.map_tasks[ref.index].branch,
+                       std::move(result));
 
   if (run.maps_done == run.map_tasks.size()) {
     if (spec.map_only()) {
@@ -457,21 +434,7 @@ void ExecutionTracker::begin_reduce_phase(std::size_t run_id) {
   CBFT_CHECK(!run.reduce_phase);
   run.reduce_phase = true;
   run.reduce_status.assign(run.spec->num_reducers, TaskStatus::kPending);
-  run.direct_slices.resize(run.spec->num_reducers);
-  // Reduce inputs may still miss a schema if no map task sent rows to a
-  // partition/tag; fill from the map-side output schema of each tag.
-  for (std::size_t p = 0; p < run.shuffle.size(); ++p) {
-    for (std::size_t tag = 0; tag < run.shuffle[p].size(); ++tag) {
-      if (run.shuffle[p][tag].schema().size() != 0) continue;
-      for (const mapreduce::MapBranch& b : run.spec->branches) {
-        if (static_cast<std::size_t>(b.tag) != tag) continue;
-        const dataflow::OpId tail =
-            b.map_ops.empty() ? b.source_vertex : b.map_ops.back();
-        run.shuffle[p][tag] = Relation(run.plan->node(tail).schema);
-        break;
-      }
-    }
-  }
+  run.assembly.seal_shuffle();
   for (std::size_t r = 0; r < run.spec->num_reducers; ++r) {
     pending_.push_back(TaskRef{run_id, true, r});
   }
@@ -495,7 +458,7 @@ void ExecutionTracker::complete_reduce_task(
   }
 
   emit_digests(run, ref.run, nid, std::move(result.digests));
-  run.direct_slices[ref.index] = std::move(result.output);
+  run.assembly.add_reduce(ref.index, std::move(result.output));
 
   if (run.reduces_done == run.spec->num_reducers) {
     finish_run(ref.run);
@@ -507,11 +470,7 @@ void ExecutionTracker::finish_run(std::size_t run_id) {
   JobRun& run = runs_[run_id];
   CBFT_CHECK(!run.complete);
 
-  const dataflow::Schema& out_schema =
-      run.plan->node(run.spec->output_vertex).schema;
-  Relation out(out_schema);
-  for (Relation& slice : run.direct_slices) out.append(std::move(slice));
-  dfs_.write(run.output_path, std::move(out));
+  dfs_.write(run.output_path, run.assembly.take_output());
   run.metrics.hdfs_write += dfs_.size_of(run.output_path);
 
   run.metrics.finish_time = sim_.now();

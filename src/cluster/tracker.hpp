@@ -236,10 +236,8 @@ class ExecutionTracker {
     bool complete = false;
     bool cancelled = false;
 
-    /// Shuffle buffers: [partition][tag] accumulated rows.
-    std::vector<std::vector<dataflow::Relation>> shuffle;
-    /// Map-only jobs: per-task slices, concatenated in task order at the end.
-    std::vector<dataflow::Relation> direct_slices;
+    /// Shuffle buckets and task slices (mapreduce/task.hpp).
+    mapreduce::JobAssembler assembly;
 
     std::set<NodeId> nodes;
     std::set<NodeId> avoid;        ///< nodes barred from this run

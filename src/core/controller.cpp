@@ -294,11 +294,7 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
   // for the controller's lifetime.
   s.program_id = programs_.deploy(&s.plan, &s.dag);
 
-  s.verifier_pool = request.verifier_threads > 0
-                        ? std::make_unique<common::ThreadPool>(
-                              request.verifier_threads)
-                        : nullptr;
-  s.verifier = std::make_unique<Verifier>(request.f, s.verifier_pool.get());
+  s.verifier = std::make_unique<Verifier>(request.f);
   s.pipeline_depth = pipeline_depths(s.dag);
   s.base_replicas = base_replication(request);
   const std::size_t jobs = s.dag.jobs.size();
@@ -1360,19 +1356,16 @@ void ClusterBft::try_verify(ScriptSession& s, std::size_t j) {
     s.verified[j] = true;
     s.verified_path[j] = cp_.run_output_path(decision->majority_runs.front());
     s.verified_ref_run[j] = decision->majority_runs.front();
-    if (const auto fp = s.verifier->completed_fingerprint(
-            spec.sid, decision->majority_runs.front())) {
-      s.verified_fp_hex[j] = fp->hex();
-    }
+    s.verified_fp_hex[j] = decision->fingerprint.hex();
     audit_.record(now(), AuditEvent::Kind::kJobVerified,
                   spec.sid + " (" +
                       std::to_string(decision->majority_runs.size()) +
                       " agreeing replicas)",
                   spec.sid, {}, s.scope);
     compute_contributors(s, j, decision->majority_runs);
-    maybe_checkpoint(s, j, decision->majority_runs);
+    maybe_checkpoint(s, j, decision->fingerprint);
     if (crashed_) return;
-    cache_store_verified(s, j, decision->majority_runs);
+    cache_store_verified(s, j, decision->fingerprint);
     attribute_commission(s, decision->deviant_runs);
     // Downstream jobs of a deviant chain may already be running on (or
     // have finished with) the corrupted output — the price of pipelining.
@@ -1835,24 +1828,18 @@ void ClusterBft::invalidate_convicted(NodeId node) {
   checkpoints_.invalidate_node(node);
 }
 
-void ClusterBft::cache_store_verified(
-    ScriptSession& s, std::size_t j,
-    const std::vector<std::size_t>& majority_runs) {
+void ClusterBft::cache_store_verified(ScriptSession& s, std::size_t j,
+                                      const crypto::Digest256& fingerprint) {
   if (!s.request.use_result_cache || !s.cache_ok[j]) return;
-  const auto fp =
-      s.verifier->completed_fingerprint(s.dag.jobs[j].sid,
-                                        majority_runs.front());
-  if (!fp) return;
   VerifiedStore::Entry entry;
-  entry.fingerprint = *fp;
+  entry.fingerprint = fingerprint;
   entry.path = s.verified_path[j];
   entry.contributors = s.contributors[j];
   result_cache_.insert(s.cache_key[j], std::move(entry));
 }
 
-void ClusterBft::maybe_checkpoint(
-    ScriptSession& s, std::size_t j,
-    const std::vector<std::size_t>& majority_runs) {
+void ClusterBft::maybe_checkpoint(ScriptSession& s, std::size_t j,
+                                  const crypto::Digest256& fingerprint) {
   if (!s.request.adaptive_checkpoints || crashed_) return;
   if (!s.ckpt_selected[j]) return;
   // The checkpoint key is the cache key: jobs whose key chain broke (an
@@ -1883,10 +1870,7 @@ void ClusterBft::maybe_checkpoint(
     dataflow::Relation rel = dfs_.read(s.verified_path[j]);
     dfs_.write(path, rel);
     VerifiedStore::Entry entry;
-    if (const auto fp = s.verifier->completed_fingerprint(
-            s.dag.jobs[j].sid, majority_runs.front())) {
-      entry.fingerprint = *fp;
-    }
+    entry.fingerprint = fingerprint;
     entry.path = path;
     entry.bytes = dfs_.size_of(path);
     entry.contributors = s.contributors[j];

@@ -31,7 +31,8 @@
 //    wait for verification (offline comparison) — the scheduler walks the
 //    DAG in dependency order and dispatches every job whose inputs are
 //    materialised, critical-path-first under an optional per-chain
-//    pipeline-width cap, while digest comparison runs on a thread pool;
+//    pipeline-width cap, while the verifier folds each completed run's
+//    digest vector into a fingerprint inline, batched per decision;
 //  * a mismatch discovered only after downstream jobs consumed the
 //    deviant output triggers a *targeted rollback*: exactly the runs
 //    downstream-tainted through recorded run-to-run input edges are
@@ -99,7 +100,6 @@
 
 #include "cluster/event_sim.hpp"
 #include "common/guarded.hpp"
-#include "common/thread_pool.hpp"
 #include "core/audit.hpp"
 #include "core/fault_analyzer.hpp"
 #include "core/journal.hpp"
@@ -325,10 +325,10 @@ class ClusterBft {
   void compute_contributors(ScriptSession& s, std::size_t job,
                             const std::vector<std::size_t>& majority_runs)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
-  /// Record contributors / fingerprint for a freshly verified job and
-  /// insert the sub-graph into the cache when eligible.
+  /// Insert a freshly verified job's sub-graph, with the majority's
+  /// digest-vector `fingerprint`, into the cache when eligible.
   void cache_store_verified(ScriptSession& s, std::size_t job,
-                            const std::vector<std::size_t>& majority_runs)
+                            const crypto::Digest256& fingerprint)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   /// Adaptive checkpointing: when the cost model selected `job`, journal
   /// a kCheckpoint record and either materialise the freshly verified
@@ -336,7 +336,7 @@ class ClusterBft {
   /// earlier session already checkpointed under the same key, then
   /// repoint verified_path[job] at the durable copy.
   void maybe_checkpoint(ScriptSession& s, std::size_t job,
-                        const std::vector<std::size_t>& majority_runs)
+                        const crypto::Digest256& fingerprint)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   /// A convicted node poisons every cache entry and checkpoint it
   /// contributed to: drop them from both stores so no future session
@@ -427,8 +427,9 @@ class ClusterBft {
 
   // Every mutable member below is thread-confined to the scheduler
   // thread (common/guarded.hpp): handlers fire beneath the event loop on
-  // the submitting thread, and the verifier pool only ever sees value
-  // captures. CLUSTERBFT_GUARDED_BY makes clang enforce that confinement.
+  // the submitting thread, and nothing in the control tier runs on a
+  // worker thread. CLUSTERBFT_GUARDED_BY makes clang enforce that
+  // confinement.
 #define CBFT_SCHED CLUSTERBFT_GUARDED_BY(common::scheduler_thread_role)
   cluster::EventSim& sim_;
   mapreduce::Dfs& dfs_;

@@ -106,12 +106,6 @@ struct ClientRequest {
   /// suspicion decisions are identical for every width.
   std::size_t pipeline_width = 0;
 
-  /// Worker threads for offline digest comparison: the verifier folds
-  /// each completed run's digest vector into a fingerprint on a control-
-  /// tier thread pool instead of deep-comparing maps on the scheduler
-  /// thread. 0 = compare inline.
-  std::size_t verifier_threads = 0;
-
   /// Simulated seconds the verifier waits for replicas of a job before
   /// declaring omissions and rescheduling with a larger r.
   double verifier_timeout_s = 300.0;

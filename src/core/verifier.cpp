@@ -61,14 +61,7 @@ void Verifier::mark_run_complete(const std::string& sid, std::size_t run_id) {
   JobState& job = jobs_[sid];
   auto it = job.runs.find(run_id);
   CBFT_CHECK_MSG(it != job.runs.end(), "completion of an unexpected run");
-  RunState& run = it->second;
-  run.complete = true;
-  if (pool_ != nullptr) {
-    // Snapshot the digest vector into the payload: the RunState may be
-    // erased (forget_run) while the computation is still in flight.
-    run.pending = pool_->submit(
-        [digests = run.digests] { return fingerprint_of(digests); });
-  }
+  it->second.complete = true;
 }
 
 void Verifier::forget_run(const std::string& sid, std::size_t run_id) {
@@ -80,10 +73,7 @@ void Verifier::forget_run(const std::string& sid, std::size_t run_id) {
 
 const crypto::Digest256& Verifier::fingerprint(RunState& run) {
   CBFT_CHECK_MSG(run.complete, "fingerprint of an incomplete run");
-  if (!run.fingerprint) {
-    run.fingerprint = run.pending.valid() ? run.pending.get()
-                                          : fingerprint_of(run.digests);
-  }
+  if (!run.fingerprint) run.fingerprint = fingerprint_of(run.digests);
   return *run.fingerprint;
 }
 
@@ -100,15 +90,13 @@ Verifier::JobState* Verifier::find(const std::string& sid) {
 std::vector<std::vector<std::size_t>> Verifier::agreement_groups(
     JobState& job) {
   // Multi-buffer prefold: completed runs still missing a fingerprint
-  // (poolless configuration, or an already-drained future) hash as one
-  // sha256_batch call, so an AVX2 host folds the digest vectors in
-  // 8-lane lockstep instead of one at a time. The fingerprint is a pure
-  // function of the digest vector, so this changes wall-clock only.
+  // hash as one sha256_batch call, so an AVX2 host folds the digest
+  // vectors in 8-lane lockstep instead of one at a time. The fingerprint
+  // is a pure function of the digest vector, so this changes wall-clock
+  // only.
   std::vector<RunState*> need;
   for (auto& [run_id, state] : job.runs) {
-    if (state.complete && !state.fingerprint && !state.pending.valid()) {
-      need.push_back(&state);
-    }
+    if (state.complete && !state.fingerprint) need.push_back(&state);
   }
   if (need.size() > 1) {
     std::vector<std::vector<std::uint8_t>> bufs;
@@ -165,6 +153,7 @@ std::optional<Verifier::Decision> Verifier::try_decide(
   Decision d;
   d.verified = true;
   d.majority_runs = groups.front();
+  d.fingerprint = fingerprint(job->runs.at(d.majority_runs.front()));
   for (std::size_t g = 1; g < groups.size(); ++g) {
     d.deviant_runs.insert(d.deviant_runs.end(), groups[g].begin(),
                           groups[g].end());
@@ -229,16 +218,6 @@ std::vector<std::size_t> Verifier::incomplete_runs(
     if (!state.complete) out.push_back(run_id);
   }
   return out;
-}
-
-std::optional<crypto::Digest256> Verifier::completed_fingerprint(
-    const std::string& sid, std::size_t run_id) {
-  const common::RoleGuard held(common::scheduler_thread_role);
-  JobState* job = find(sid);
-  if (!job) return std::nullopt;
-  auto it = job->runs.find(run_id);
-  if (it == job->runs.end() || !it->second.complete) return std::nullopt;
-  return fingerprint(it->second);
 }
 
 }  // namespace clusterbft::core

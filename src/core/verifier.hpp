@@ -4,23 +4,20 @@
 //
 // Comparison is *offline*: replicas report digests as their tasks run and
 // downstream jobs of a replica chain proceed without waiting; the verifier
-// decides as soon as enough complete, matching replicas exist. With a
-// thread pool, the comparison is offloaded too: each completed run's
-// digest vector is folded into a single SHA-256 fingerprint on a worker
-// thread, and decision time only compares fingerprints. The fingerprint
-// is a pure function of the (frozen) digest vector, so pooling changes
-// wall-clock only — never which runs agree.
+// decides as soon as enough complete, matching replicas exist. Each
+// completed run's digest vector is folded once into a single SHA-256
+// fingerprint, on the scheduler thread: the runs a decision finds still
+// unfolded hash together as one multi-buffer sha256_batch call, and
+// decision time only compares fingerprints.
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/guarded.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/digest.hpp"
 #include "mapreduce/job.hpp"
 
@@ -28,10 +25,7 @@ namespace clusterbft::core {
 
 class Verifier {
  public:
-  /// `pool` (optional, not owned, must outlive the verifier) runs the
-  /// per-run digest-vector fingerprinting off the scheduler thread.
-  explicit Verifier(std::size_t f, common::ThreadPool* pool = nullptr)
-      : f_(f), pool_(pool) {}
+  explicit Verifier(std::size_t f) : f_(f) {}
 
   std::size_t f() const { return f_; }
 
@@ -45,8 +39,7 @@ class Verifier {
   void add_report(const std::string& sid, std::size_t run_id,
                   const mapreduce::DigestReport& report);
 
-  /// The run finished (its digest vector is complete). Kicks off the
-  /// offline fingerprint computation when a pool is attached.
+  /// The run finished (its digest vector is complete).
   void mark_run_complete(const std::string& sid, std::size_t run_id);
 
   /// Drop every record of `run_id` (it was rolled back: its inputs were
@@ -58,6 +51,9 @@ class Verifier {
     bool verified = false;
     std::vector<std::size_t> majority_runs;  ///< agreeing, completed runs
     std::vector<std::size_t> deviant_runs;   ///< completed, disagreeing
+    /// Fingerprint of the majority's digest vector — the evidence the
+    /// result cache and the checkpoint store key verified relations by.
+    crypto::Digest256 fingerprint;
   };
 
   /// Decide `sid` if possible: verified when >= f+1 completed runs agree
@@ -80,29 +76,20 @@ class Verifier {
   std::size_t completed_runs(const std::string& sid) const;
   std::vector<std::size_t> incomplete_runs(const std::string& sid) const;
 
-  /// Fingerprint of a *completed* run's digest vector — the value the
-  /// verification decision compared. Exposed so the result cache can key
-  /// and replay verified evidence; nullopt for unknown/incomplete runs.
-  std::optional<crypto::Digest256> completed_fingerprint(
-      const std::string& sid, std::size_t run_id);
-
  private:
   struct RunState {
     std::map<mapreduce::DigestKey, crypto::Digest256> digests;
     bool complete = false;
-    /// Fingerprint of `digests`, once computed (drained from `pending`
-    /// or computed inline on first use).
+    /// Fingerprint of `digests`, once computed.
     std::optional<crypto::Digest256> fingerprint;
-    /// In-flight pool computation of the fingerprint.
-    std::future<crypto::Digest256> pending;
   };
   struct JobState {
     bool gating = false;
     std::map<std::size_t, RunState> runs;  ///< by run id
   };
 
-  /// The run's fingerprint, draining the pool future or computing inline.
-  /// Requires a complete run (digest vector frozen).
+  /// The run's fingerprint, computed on first use. Requires a complete
+  /// run (digest vector frozen).
   const crypto::Digest256& fingerprint(RunState& run)
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
 
@@ -117,9 +104,7 @@ class Verifier {
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
 
   std::size_t f_;
-  common::ThreadPool* pool_;
-  /// Thread-confined to the scheduler thread: the pool only ever touches
-  /// a value-captured snapshot of a run's digest vector, never `jobs_`.
+  /// Thread-confined to the scheduler thread.
   std::map<std::string, JobState> jobs_
       CLUSTERBFT_GUARDED_BY(common::scheduler_thread_role);
 };

@@ -9,7 +9,6 @@
 #include "crypto/sha256_dispatch.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
@@ -161,8 +160,8 @@ void run_lanes(const std::uint8_t* const lane_data[kLanes],
 std::vector<std::uint8_t> pad_message(std::string_view msg) {
   const std::size_t rem = msg.size() % 64;
   const std::size_t pad = (rem < 56) ? (56 - rem) : (120 - rem);
-  std::vector<std::uint8_t> out(msg.size() + pad + 8);
-  if (!msg.empty()) std::memcpy(out.data(), msg.data(), msg.size());
+  std::vector<std::uint8_t> out(msg.begin(), msg.end());
+  out.resize(msg.size() + pad + 8);
   out[msg.size()] = 0x80;
   const std::uint64_t bit_len = static_cast<std::uint64_t>(msg.size()) * 8;
   for (int i = 0; i < 8; ++i) {

@@ -7,19 +7,17 @@
 // output and the verification-point digest stream depend only on the plan,
 // the DAG and the input bytes.
 //
-// Used by the determinism tests (the same DAG executed twice must yield
-// byte-identical digest vectors) and by the sanitizer smoke binary
-// (tools/analysis/asan_smoke.cpp), and usable as a reference executor when
-// debugging divergence between the tracker and the interpreter.
+// Every task runs inline, on the calling thread. Shuffle and output
+// assembly go through the same JobAssembler the execution tracker uses,
+// so the two executors differ only in placement and timing.
 //
-// Task payloads may run on a worker pool (LocalRunOptions::threads); the
-// runner still reads splits, assembles shuffle buckets and emits digests
-// in (branch, split) / partition order, so every byte of the result is
-// independent of the pool size — see DESIGN.md "Parallel execution
-// engine".
+// The reference executor behind the determinism tests (the same DAG
+// executed twice must yield byte-identical digest vectors), the parity
+// transcript (tools/analysis/digest_parity.cpp), the tracker differential
+// test (tests/parallel_exec_test.cpp) and the sanitizer smoke binary
+// (tools/analysis/asan_smoke.cpp).
 #pragma once
 
-#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,17 +42,10 @@ struct LocalRunResult {
   TaskMetrics totals;
 };
 
-struct LocalRunOptions {
-  /// Worker threads executing map/reduce payloads (0 = run inline). The
-  /// result is bit-identical for every value; only wall-clock changes.
-  std::size_t threads = 0;
-};
-
 /// Execute `dag` against the inputs already present in `dfs`. Jobs run in
 /// dependency order; each job's output is written back to the DFS so
 /// downstream jobs can read it. Throws CheckError if an input is missing.
 LocalRunResult run_job_dag_local(const dataflow::LogicalPlan& plan,
-                                 const JobDag& dag, Dfs& dfs,
-                                 const LocalRunOptions& opts = {});
+                                 const JobDag& dag, Dfs& dfs);
 
 }  // namespace clusterbft::mapreduce

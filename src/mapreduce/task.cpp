@@ -1,5 +1,6 @@
 #include "mapreduce/task.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -214,6 +215,64 @@ ReduceTaskResult run_reduce_task(const LogicalPlan& plan, const MRJobSpec& job,
   result.metrics.output_bytes = cur.byte_size();
   result.output = std::move(cur);
   return result;
+}
+
+JobAssembler::JobAssembler(const LogicalPlan& plan, const MRJobSpec& job,
+                           std::size_t map_tasks)
+    : plan_(&plan), job_(&job) {
+  if (job.map_only()) {
+    slices_.resize(map_tasks);
+    return;
+  }
+  int max_tag = 0;
+  for (const MapBranch& b : job.branches) max_tag = std::max(max_tag, b.tag);
+  shuffle_.assign(job.num_reducers,
+                  std::vector<Relation>(static_cast<std::size_t>(max_tag) + 1));
+  slices_.resize(job.num_reducers);
+}
+
+void JobAssembler::add_map(std::size_t task, std::size_t branch,
+                           MapTaskResult&& result) {
+  if (job_->map_only()) {
+    slices_[task] = std::move(result.direct_output);
+    return;
+  }
+  const auto tag = static_cast<std::size_t>(job_->branches[branch].tag);
+  for (std::size_t p = 0; p < result.partitions.size(); ++p) {
+    Relation& bucket = shuffle_[p][tag];
+    if (bucket.schema().size() == 0) {
+      bucket = Relation(result.partitions[p].schema());
+    }
+    bucket.append(std::move(result.partitions[p]));
+  }
+}
+
+void JobAssembler::seal_shuffle() {
+  for (std::vector<Relation>& by_tag : shuffle_) {
+    for (std::size_t tag = 0; tag < by_tag.size(); ++tag) {
+      if (by_tag[tag].schema().size() != 0) continue;
+      for (const MapBranch& b : job_->branches) {
+        if (static_cast<std::size_t>(b.tag) != tag) continue;
+        const OpId tail = b.map_ops.empty() ? b.source_vertex : b.map_ops.back();
+        by_tag[tag] = Relation(plan_->node(tail).schema);
+        break;
+      }
+    }
+  }
+}
+
+std::vector<Relation> JobAssembler::take_partition(std::size_t partition) {
+  return std::move(shuffle_[partition]);
+}
+
+void JobAssembler::add_reduce(std::size_t partition, Relation output) {
+  slices_[partition] = std::move(output);
+}
+
+Relation JobAssembler::take_output() {
+  Relation out(plan_->node(job_->output_vertex).schema);
+  for (Relation& slice : slices_) out.append(std::move(slice));
+  return out;
 }
 
 }  // namespace clusterbft::mapreduce

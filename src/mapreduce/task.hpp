@@ -65,6 +65,45 @@ ReduceTaskResult run_reduce_task(
     const dataflow::LogicalPlan& plan, const MRJobSpec& job,
     std::size_t partition, std::vector<dataflow::Relation> inputs_by_tag);
 
+/// Job assembly: the bookkeeping between one job's tasks that every
+/// executor (the execution tracker, the local runner) shares. Map results
+/// are appended to shuffle[partition][tag] in the order they are added —
+/// the reduce side does not depend on that order (see above); the shuffle
+/// is sealed before the reduce hand-off, giving every partition/tag no
+/// map task fed the tag's map-side schema; task slices — map slices of a
+/// map-only job, reduce outputs otherwise — are concatenated in task
+/// order under the output vertex's schema. Plan and job must outlive it.
+class JobAssembler {
+ public:
+  JobAssembler() = default;
+  JobAssembler(const dataflow::LogicalPlan& plan, const MRJobSpec& job,
+               std::size_t map_tasks);
+
+  /// Fold map task `task` (reading branch `branch`) into the job: its
+  /// partitions join the shuffle, or it becomes slice `task` of a
+  /// map-only job. The result's digests and metrics are left alone.
+  void add_map(std::size_t task, std::size_t branch, MapTaskResult&& result);
+
+  /// Every map task is in: fill partition/tag buckets that got no rows.
+  void seal_shuffle();
+
+  /// Reduce input of `partition`, by tag, taken by move (once per
+  /// partition, after seal_shuffle).
+  std::vector<dataflow::Relation> take_partition(std::size_t partition);
+
+  /// Reduce task `partition`'s output becomes slice `partition`.
+  void add_reduce(std::size_t partition, dataflow::Relation output);
+
+  /// The job output: every slice, in task order.
+  dataflow::Relation take_output();
+
+ private:
+  const dataflow::LogicalPlan* plan_ = nullptr;
+  const MRJobSpec* job_ = nullptr;
+  std::vector<std::vector<dataflow::Relation>> shuffle_;  ///< [partition][tag]
+  std::vector<dataflow::Relation> slices_;
+};
+
 /// Reduce partition a tuple belongs to, given the job's blocking operator.
 /// Deterministic across replicas and platforms. `key_buf` holds the key
 /// serialisation; the map-side shuffle loop reuses one buffer per split.

@@ -203,7 +203,9 @@ TEST(CheckpointModelTest, EstimatesPassInputBytesThrough) {
   }
   // The final store consumes everything: its estimate is the total.
   for (const mapreduce::MRJobSpec& spec : c.dag.jobs) {
-    if (spec.is_final_store) EXPECT_EQ(est[spec.job_index], total_in);
+    if (spec.is_final_store) {
+      EXPECT_EQ(est[spec.job_index], total_in);
+    }
   }
 }
 

@@ -1,9 +1,9 @@
-// The 1-thread-vs-N-thread determinism property (ISSUE 2 tentpole): the
-// parallel task-execution backend must be invisible in every engine
-// output. For pool sizes {1, 2, 8} and many seeds, verification-point
-// digest streams, final outputs, task metrics, simulated-time accounting
-// and scheduler decisions are asserted byte-identical to the sequential
-// engine (threads = 0). A replica pair that diverged here would make an
+// The 1-thread-vs-N-thread determinism property: the tracker's parallel
+// task-execution backend must be invisible in every engine output. For
+// pool sizes {1, 2, 8} and many seeds, verification-point digest
+// streams, final outputs, task metrics, simulated-time accounting and
+// scheduler decisions are asserted byte-identical to the sequential
+// engine (threads = 0) and, on random plans, to the inline local runner. A replica pair that diverged here would make an
 // honest node look Byzantine, so any failure is a correctness bug, not a
 // flaky test.
 #include <gtest/gtest.h>
@@ -41,70 +41,115 @@ using mapreduce::MRJobSpec;
 class ParallelExecTest : public ::testing::TestWithParam<std::size_t> {};
 
 // ---------------------------------------------------------------------
-// Local runner: random plans, swept seeds.
+// Tracker vs the local runner: random plans, swept seeds. The inline
+// local runner is the reference executor; the tracker, at pool size 0 and
+// at GetParam(), must reproduce its digests, job outputs (row order
+// included) and digested bytes. Both assemble shuffles and outputs
+// through one mapreduce::JobAssembler; what differs is task placement,
+// completion order and the pool, so a mismatch is a §5.4 determinism
+// defect.
 
-struct LocalPass {
-  std::vector<mapreduce::DigestReport> digests;
-  std::map<std::string, dataflow::Relation> outputs;
-  mapreduce::TaskMetrics totals;
+/// One executor's evidence for a random plan: digests as an order-free
+/// multiset of (key, digest, record_count) lines — the tracker reports in
+/// task-completion order — plus every job output and the digested bytes.
+struct DiffPass {
+  std::multiset<std::string> digests;
+  std::map<std::string, std::vector<dataflow::Tuple>> outputs;
+  std::uint64_t digested_bytes = 0;
 };
 
-LocalPass local_pass(std::uint64_t seed, std::size_t threads) {
-  Rng rng(seed);
-  const dataflow::Relation input = testgen::random_table(rng, 250);
-  const std::string script = testgen::random_script(rng);
+std::string digest_line(const mapreduce::DigestReport& r) {
+  return r.key.to_string() + "|" + r.digest.hex() + "|" +
+         std::to_string(r.record_count);
+}
 
-  const auto plan = dataflow::parse_script(script);
+struct RandomPlan {
+  dataflow::Relation input;
+  dataflow::LogicalPlan plan;
+  mapreduce::JobDag dag;
+};
+
+RandomPlan random_plan(std::uint64_t seed) {
+  Rng rng(seed);
+  RandomPlan rp;
+  rp.input = testgen::random_table(rng, 250);
+  rp.plan = dataflow::parse_script(testgen::random_script(rng));
   const auto ratios =
-      core::compute_input_ratios(plan, {{"ta", input.byte_size()}});
+      core::compute_input_ratios(rp.plan, {{"ta", rp.input.byte_size()}});
   const auto marks = core::mark_verification_points(
-      plan, ratios, 2, core::AdversaryModel::kWeak);
+      rp.plan, ratios, 2, core::AdversaryModel::kWeak);
   std::vector<mapreduce::VerificationPoint> vps;
   for (const dataflow::OpId v : marks) vps.push_back({v, 32});
-  const auto dag = mapreduce::compile(plan, vps, {.sid_prefix = "par"});
+  rp.dag = mapreduce::compile(rp.plan, vps, {.sid_prefix = "par"});
+  return rp;
+}
 
+DiffPass local_pass(const RandomPlan& rp) {
   mapreduce::Dfs dfs(2048);
-  dfs.write("ta", input);
-  auto run =
-      mapreduce::run_job_dag_local(plan, dag, dfs, {.threads = threads});
-  LocalPass pass;
-  pass.digests = std::move(run.digests);
-  pass.outputs = std::move(run.outputs);
-  pass.totals = run.totals;
+  dfs.write("ta", rp.input);
+  const auto run = mapreduce::run_job_dag_local(rp.plan, rp.dag, dfs);
+  DiffPass pass;
+  for (const mapreduce::DigestReport& r : run.digests) {
+    pass.digests.insert(digest_line(r));
+  }
+  for (const auto& [path, rel] : run.outputs) pass.outputs[path] = rel.rows();
+  pass.digested_bytes = run.totals.digested_bytes;
+  return pass;
+}
+
+DiffPass tracker_dag_pass(const RandomPlan& rp, std::size_t threads) {
+  cluster::EventSim sim;
+  mapreduce::Dfs dfs(2048);
+  dfs.write("ta", rp.input);
+  TrackerConfig cfg;
+  cfg.num_nodes = 6;
+  cfg.threads = threads;
+  ExecutionTracker tracker(sim, dfs, cfg);
+  DiffPass pass;
+  tracker.on_digests = [&pass](std::vector<mapreduce::DigestReport>&& reports,
+                               std::size_t, NodeId) {
+    for (const mapreduce::DigestReport& r : reports) {
+      pass.digests.insert(digest_line(r));
+    }
+  };
+  // One replica, jobs submitted in dependency order with the simulator
+  // drained in between — as the local runner walks the DAG.
+  std::vector<bool> done(rp.dag.jobs.size(), false);
+  for (std::size_t completed = 0; completed < rp.dag.jobs.size();) {
+    const std::vector<std::size_t> ready = rp.dag.ready(done);
+    EXPECT_FALSE(ready.empty());
+    if (ready.empty()) break;
+    for (const std::size_t j : ready) {
+      const MRJobSpec& spec = rp.dag.jobs[j];
+      std::vector<std::string> inputs;
+      for (const auto& b : spec.branches) inputs.push_back(b.input_path);
+      const std::size_t run =
+          tracker.submit(rp.plan, spec, 0, inputs, spec.output_path);
+      sim.run();
+      EXPECT_TRUE(tracker.run_complete(run)) << spec.sid;
+      pass.outputs[spec.output_path] = dfs.read(spec.output_path).rows();
+      pass.digested_bytes += tracker.run_metrics(run).digested;
+      done[j] = true;
+      ++completed;
+    }
+  }
   return pass;
 }
 
 TEST_P(ParallelExecTest, LocalRunnerBitIdenticalToSequentialEngine) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
-                 std::to_string(GetParam()));
-    const LocalPass seq = local_pass(seed, 0);
-    const LocalPass par = local_pass(seed, GetParam());
-
-    ASSERT_FALSE(seq.digests.empty());
-    ASSERT_EQ(seq.digests.size(), par.digests.size());
-    for (std::size_t i = 0; i < seq.digests.size(); ++i) {
-      EXPECT_EQ(seq.digests[i].key, par.digests[i].key)
-          << seq.digests[i].key.to_string();
-      EXPECT_EQ(seq.digests[i].digest, par.digests[i].digest)
-          << seq.digests[i].key.to_string();
-      EXPECT_EQ(seq.digests[i].record_count, par.digests[i].record_count);
+    const RandomPlan rp = random_plan(seed);
+    const DiffPass ref = local_pass(rp);
+    ASSERT_FALSE(ref.digests.empty()) << "seed " << seed;
+    for (const std::size_t threads : {std::size_t{0}, GetParam()}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
+                   std::to_string(threads));
+      const DiffPass got = tracker_dag_pass(rp, threads);
+      EXPECT_EQ(ref.digests, got.digests);
+      // Every job output byte-identical *including row order*.
+      EXPECT_EQ(ref.outputs, got.outputs);
+      EXPECT_EQ(ref.digested_bytes, got.digested_bytes);
     }
-
-    // Outputs byte-identical *including row order* — the parallel runner
-    // must reproduce the sequential task order exactly, not merely the
-    // same set of rows.
-    ASSERT_EQ(seq.outputs.size(), par.outputs.size());
-    for (const auto& [path, rel] : seq.outputs) {
-      ASSERT_TRUE(par.outputs.contains(path)) << path;
-      EXPECT_EQ(rel.rows(), par.outputs.at(path).rows()) << path;
-    }
-
-    EXPECT_EQ(seq.totals.input_bytes, par.totals.input_bytes);
-    EXPECT_EQ(seq.totals.output_bytes, par.totals.output_bytes);
-    EXPECT_EQ(seq.totals.digested_bytes, par.totals.digested_bytes);
-    EXPECT_EQ(seq.totals.records_in, par.totals.records_in);
-    EXPECT_EQ(seq.totals.records_out, par.totals.records_out);
   }
 }
 
@@ -302,9 +347,8 @@ TEST_P(ParallelExecTest, ReplicaPinningHoldsUnderParallelBackend) {
 }
 
 // ---------------------------------------------------------------------
-// Pipelined DAG execution (ISSUE 4): the pipeline-width knob and the
-// offline digest-comparison pool must be invisible in every verification
-// artefact — wire digest stream, verified outputs, suspicion ledger,
+// Pipelined DAG execution: the pipeline-width knob and the tracker's
+// pool size must be invisible in every verification artefact — wire digest stream, verified outputs, suspicion ledger,
 // fault counts — across widths {1, 2, 8, unbounded} x pool sizes x seeds.
 // Only wall-clock / simulated latency may move.
 
@@ -338,7 +382,7 @@ struct PipelinePass {
 
 PipelinePass pipeline_pass(const std::string& script, std::uint64_t seed,
                            std::size_t width, std::size_t threads,
-                           std::size_t verifier_threads, std::size_t replicas,
+                           std::size_t replicas,
                            TrackerConfig cfg, double decision_latency_s = 0) {
   cluster::EventSim sim;
   mapreduce::Dfs dfs(8192);
@@ -363,7 +407,6 @@ PipelinePass pipeline_pass(const std::string& script, std::uint64_t seed,
   core::ClientRequest req =
       baseline::cluster_bft(script, "pipe", 1, replicas, 2);
   req.pipeline_width = width;
-  req.verifier_threads = verifier_threads;
   req.decision_latency_s = decision_latency_s;
 
   PipelinePass pass;
@@ -409,10 +452,8 @@ TEST_P(ParallelExecTest, PipelineWidthInvisibleInDigestsOutputsAndLedger) {
   for (std::uint64_t seed = base + 1; seed <= base + 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
                  std::to_string(GetParam()));
-    // Reference: strictly serial dispatch (width 1), inline execution,
-    // inline digest comparison.
-    const PipelinePass serial =
-        pipeline_pass(script, seed, 1, 0, 0, 2, cfg);
+    // Reference: strictly serial dispatch (width 1), inline execution.
+    const PipelinePass serial = pipeline_pass(script, seed, 1, 0, 2, cfg);
     ASSERT_TRUE(serial.result.verified);
     ASSERT_FALSE(serial.digests.empty());
 
@@ -420,15 +461,14 @@ TEST_P(ParallelExecTest, PipelineWidthInvisibleInDigestsOutputsAndLedger) {
     for (const std::size_t width : {std::size_t{0}, std::size_t{2},
                                     std::size_t{8}}) {
       SCOPED_TRACE("width " + std::to_string(width));
-      PipelinePass p = pipeline_pass(script, seed, width, GetParam(),
-                                     GetParam(), 2, cfg);
+      PipelinePass p = pipeline_pass(script, seed, width, GetParam(), 2, cfg);
       expect_same_decisions(serial, p);
       if (width == 8) widest = std::move(p);
     }
 
     // Fixed width across pool sizes is the stronger contract: even the
     // simulated-time accounting must be bit-identical.
-    const PipelinePass w8_seq = pipeline_pass(script, seed, 8, 0, 0, 2, cfg);
+    const PipelinePass w8_seq = pipeline_pass(script, seed, 8, 0, 2, cfg);
     expect_same_decisions(w8_seq, widest);
     EXPECT_EQ(w8_seq.result.metrics.latency_s,
               widest.result.metrics.latency_s);
@@ -452,9 +492,8 @@ TEST_P(ParallelExecTest, LateMismatchRollsBackOnlyTaintedRuns) {
   const double kDecision = 2.0;
   TrackerConfig honest_cfg;
   honest_cfg.num_nodes = 12;
-  const PipelinePass honest = pipeline_pass(script, 5, 0, GetParam(),
-                                            GetParam(), 3, honest_cfg,
-                                            kDecision);
+  const PipelinePass honest =
+      pipeline_pass(script, 5, 0, GetParam(), 3, honest_cfg, kDecision);
   ASSERT_TRUE(honest.result.verified);
   EXPECT_EQ(honest.result.metrics.rollbacks, 0u);
   EXPECT_TRUE(honest.rollback_events.empty());
@@ -467,8 +506,8 @@ TEST_P(ParallelExecTest, LateMismatchRollsBackOnlyTaintedRuns) {
                                   std::size_t{8}}) {
     SCOPED_TRACE("width " + std::to_string(width) + ", threads " +
                  std::to_string(GetParam()));
-    const PipelinePass p = pipeline_pass(script, 5, width, GetParam(),
-                                         GetParam(), 3, cfg, kDecision);
+    const PipelinePass p =
+        pipeline_pass(script, 5, width, GetParam(), 3, cfg, kDecision);
 
     // The script still verifies, from the two honest waves.
     EXPECT_TRUE(p.result.verified);

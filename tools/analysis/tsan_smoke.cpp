@@ -1,7 +1,7 @@
 // ThreadSanitizer smoke: exercises the parallel task-execution engine —
-// the ThreadPool itself, the local runner with a worker pool, and the
-// execution tracker with a worker pool — and checks that the parallel
-// results are bit-identical to the sequential engine's.
+// the ThreadPool itself and the execution tracker with a worker pool (the
+// one pool in src/) — and checks that the tracker's parallel
+// results are bit-identical to its sequential engine's.
 //
 // Built as `tsan_smoke` in every configuration; the `tsan_smoke` ctest
 // (label: analysis) runs it under -fsanitize=thread so a data race in the
@@ -9,7 +9,6 @@
 // the main build is unsanitized.
 #include <cstdio>
 #include <future>
-#include <string>
 #include <vector>
 
 #include "baseline/presets.hpp"
@@ -17,9 +16,6 @@
 #include "common/thread_pool.hpp"
 #include "core/controller.hpp"
 #include "protocol/seam.hpp"
-#include "dataflow/parser.hpp"
-#include "mapreduce/compiler.hpp"
-#include "mapreduce/local_runner.hpp"
 #include "workloads/scripts.hpp"
 #include "workloads/twitter.hpp"
 
@@ -39,47 +35,6 @@ bool pool_basics() {
   for (std::size_t i = 0; i < futures.size(); ++i) {
     if (futures[i].get() != i * i) {
       std::fprintf(stderr, "tsan_smoke: FAIL: pool result %zu wrong\n", i);
-      return false;
-    }
-  }
-  return true;
-}
-
-mapreduce::LocalRunResult local_run(std::size_t threads) {
-  workloads::TwitterConfig tw;
-  tw.num_edges = 4000;
-  tw.num_users = 500;
-  const auto plan =
-      dataflow::parse_script(workloads::twitter_follower_analysis());
-  const auto probe = mapreduce::compile(plan, {}, {.sid_prefix = "smoke"});
-  const std::vector<mapreduce::VerificationPoint> vps{
-      {probe.jobs[0].branches[0].source_vertex, 32}};
-  const auto dag = mapreduce::compile(plan, vps, {.sid_prefix = "smoke"});
-  mapreduce::Dfs dfs(2048);  // small blocks: many concurrent map payloads
-  dfs.write("twitter/edges", workloads::generate_twitter_edges(tw));
-  return mapreduce::run_job_dag_local(plan, dag, dfs, {.threads = threads});
-}
-
-bool local_runner_parallel_matches_sequential() {
-  const auto seq = local_run(0);
-  const auto par = local_run(kThreads);
-  if (seq.digests.empty() || seq.digests.size() != par.digests.size()) {
-    std::fprintf(stderr, "tsan_smoke: FAIL: digest count %zu vs %zu\n",
-                 seq.digests.size(), par.digests.size());
-    return false;
-  }
-  for (std::size_t i = 0; i < seq.digests.size(); ++i) {
-    if (seq.digests[i].key != par.digests[i].key ||
-        !(seq.digests[i].digest == par.digests[i].digest)) {
-      std::fprintf(stderr, "tsan_smoke: FAIL: digest %zu diverged (%s)\n", i,
-                   seq.digests[i].key.to_string().c_str());
-      return false;
-    }
-  }
-  for (const auto& [path, rel] : seq.outputs) {
-    if (!(par.outputs.at(path).rows() == rel.rows())) {
-      std::fprintf(stderr, "tsan_smoke: FAIL: output %s diverged\n",
-                   path.c_str());
       return false;
     }
   }
@@ -130,7 +85,6 @@ bool tracker_parallel_matches_sequential() {
 
 int main() {
   if (!pool_basics()) return 1;
-  if (!local_runner_parallel_matches_sequential()) return 1;
   if (!tracker_parallel_matches_sequential()) return 1;
   std::printf("tsan_smoke: OK: parallel engine bit-identical at %zu threads\n",
               kThreads);

@@ -42,16 +42,15 @@
 #                                chaos mix and the bench_multicloud
 #                                exit-code bars, three consecutive passes
 #   tools/check.sh --parity      SHA-256 dispatch parity gate: build the
-#                                digest_parity transcript generator, run
-#                                the 24-seed verification-point sweep
-#                                once with the default (auto-dispatched)
-#                                SHA-256 backend and once with
-#                                CLUSTERBFT_SHA256_BACKEND=scalar, and
-#                                diff the transcripts — the accelerated
-#                                kernels must be bit-identical to the
-#                                scalar reference — then compare the
-#                                transcript's SHA-256 with the golden
-#                                hash in tools/digest_parity.sha256, so
+#                                digest_parity transcript generator and
+#                                run the `digest_parity` ctest (label:
+#                                parity; also part of the plain ctest
+#                                run): the 24-seed verification-point
+#                                sweep once with the default (auto-
+#                                dispatched) SHA-256 backend and once
+#                                with CLUSTERBFT_SHA256_BACKEND=scalar —
+#                                the transcripts must be identical and
+#                                hash to tools/digest_parity.sha256, so
 #                                canonical bytes stay pinned across
 #                                commits too
 #   tools/check.sh --analyze     static-analysis gate: the regex
@@ -195,35 +194,15 @@ case "$MODE" in
     ;;
 
   --parity)
-    # SHA-256 dispatch parity gate. The whole raw-speed pass rests on
-    # the dispatched kernels being bit-identical to the scalar
-    # reference; this replays the determinism suite's 24-seed
-    # verification-point sweep under both and diffs the transcripts.
+    # SHA-256 dispatch parity gate: the `digest_parity` ctest (label:
+    # parity, tools/parity_check.cmake) runs the 24-seed verification-
+    # point transcript under the default dispatch and the scalar backend,
+    # and requires identical transcripts and the golden hash.
     echo "== parity gate: build digest_parity =="
     cmake -S "$ROOT" -B "$ROOT/build" >/dev/null
     cmake --build "$ROOT/build" --target digest_parity -j "$JOBS"
-    echo "== parity gate: default-dispatch run =="
-    "$ROOT/build/tools/digest_parity" > "$ROOT/build/parity_dispatch.txt"
-    echo "== parity gate: forced-scalar run =="
-    CLUSTERBFT_SHA256_BACKEND=scalar \
-      "$ROOT/build/tools/digest_parity" > "$ROOT/build/parity_scalar.txt"
-    if ! diff -u "$ROOT/build/parity_scalar.txt" \
-                 "$ROOT/build/parity_dispatch.txt"; then
-      echo "check.sh: PARITY FAILURE — dispatched SHA-256 diverges from" \
-           "the scalar reference" >&2
-      exit 1
-    fi
-    # Pinned across commits: a change to the canonical form, the digest
-    # framing or the verification-point sweep changes this hash.
-    golden=$(tr -d '[:space:]' < "$ROOT/tools/digest_parity.sha256")
-    actual=$(sha256sum < "$ROOT/build/parity_dispatch.txt" | cut -d' ' -f1)
-    if [[ "$actual" != "$golden" ]]; then
-      echo "check.sh: PARITY FAILURE — transcript SHA-256 $actual differs" \
-           "from the golden $golden (tools/digest_parity.sha256)" >&2
-      exit 1
-    fi
-    lines=$(wc -l < "$ROOT/build/parity_dispatch.txt")
-    echo "check.sh: parity gate OK ($lines digest lines identical, golden hash matches)"
+    ctest --test-dir "$ROOT/build" --output-on-failure -L parity
+    echo "check.sh: parity gate OK"
     ;;
 
   --analyze)
