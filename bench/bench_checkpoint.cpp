@@ -3,7 +3,7 @@
 // fault, 2x2 over {checkpointing off/on} x {static r / adaptive
 // f+1-first}, plus the fault-free escalation pair. Two bars are
 // enforced here (the harness exits non-zero when either regresses, so
-// tools/run_all_benches.sh fails the sweep):
+// the `bench_checkpoint` ctest and tools/run_all_benches.sh fail):
 //
 //   * with the commission fault injected, checkpointing ON must beat
 //     OFF by >= 1.3x sim latency at static r — restart waves rerun

@@ -39,8 +39,7 @@ BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(4096)->Arg(1 << 20);
 // and the multi-buffer batch entry point, with the process-wide backend
 // forced for the duration of the run. Only backends this host can run
 // are registered (see main), so the JSON rows double as a record of
-// what the bench machine supported; bench_compare treats missing
-// metrics as absent, not regressed.
+// what the bench machine supported.
 
 void BM_Sha256BackendThroughput(benchmark::State& state,
                                 crypto::Sha256Backend backend) {

@@ -1,7 +1,8 @@
-// Multi-cloud execution and cross-cloud failover (ISSUE 10): the Fig. 9
-// Twitter Follower Analysis workload across 1-3 independent clouds and
-// the three placement policies, then under an injected whole-cloud
-// outage. Two bars are enforced (nonzero exit fails the sweep):
+// Multi-cloud execution and cross-cloud failover: the Fig. 9 Twitter
+// Follower Analysis workload on two independent clouds, fault-free as a
+// reference, then under an injected whole-cloud outage. Two bars are
+// enforced (nonzero exit fails the sweep and the `bench_multicloud`
+// ctest):
 //
 //   * under a permanent outage of the home cloud, kSingleCloud must
 //     fail honestly with pool-exhausted — the pinned policy never
@@ -39,8 +40,7 @@ struct CloudWorld {
   std::unique_ptr<protocol::MultiCloudSeam> seam;
   std::unique_ptr<core::ClusterBft> controller;
 
-  explicit CloudWorld(std::size_t n,
-                      std::vector<std::uint64_t> prices = {}) {
+  explicit CloudWorld(std::size_t n) {
     workloads::TwitterConfig tw;
     tw.num_edges = kEdges;
     tw.num_users = kUsers;
@@ -52,7 +52,6 @@ struct CloudWorld {
       p.num_nodes = 16;
       p.slots_per_node = 3;
       p.seed = 7 + i;
-      if (i < prices.size()) p.price_milli = prices[i];
       clouds.push_back(
           std::make_unique<cluster::Cloud>(i, sim, dfs, std::move(p)));
       raw.push_back(clouds.back().get());
@@ -73,15 +72,6 @@ core::ClientRequest fig9_request(const std::string& name,
       workloads::twitter_follower_analysis(), name, /*f=*/1, /*r=*/2, 1);
   req.placement = placement;
   return req;
-}
-
-const char* to_tag(core::Placement p) {
-  switch (p) {
-    case core::Placement::kSingleCloud: return "single_cloud";
-    case core::Placement::kSpread: return "spread";
-    case core::Placement::kCheapestFirst: return "cheapest_first";
-  }
-  return "?";
 }
 
 void check_golden(const core::ScriptResult& res, const char* cell) {
@@ -108,39 +98,26 @@ int bench_main() {
                "ISSUE 10: Fig. 9 workload across independent clouds");
   BenchJson sink("multicloud");
 
-  // ---- placement-policy sweep, fault-free -------------------------
-  std::printf("\nfault-free, n clouds x placement policy (16 nodes each):\n");
-  std::printf("  %-8s %-16s %10s %6s %10s\n", "clouds", "placement",
-              "latency(s)", "runs", "failovers");
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
-                              std::size_t{3}}) {
-    for (const core::Placement p :
-         {core::Placement::kSingleCloud, core::Placement::kSpread,
-          core::Placement::kCheapestFirst}) {
-      CloudWorld w(n, {1500, 900, 1200});
-      const auto res = w.run(fig9_request("mc", p));
-      if (!res.verified) {
-        std::fprintf(stderr, "bench_multicloud: fault-free cell "
-                     "(%zu clouds, %s) did not verify\n", n, to_tag(p));
-        return 1;
-      }
-      check_golden(res, to_tag(p));
-      if (res.metrics.cloud_failovers != 0) {
-        std::fprintf(stderr, "bench_multicloud: fault-free cell "
-                     "(%zu clouds, %s) failed over %zu times\n",
-                     n, to_tag(p), res.metrics.cloud_failovers);
-        return 1;
-      }
-      std::printf("  %-8zu %-16s %10.2f %6zu %10zu\n", n, to_tag(p),
-                  res.metrics.latency_s, res.metrics.runs,
-                  res.metrics.cloud_failovers);
-      const std::string tag =
-          std::string(to_tag(p)) + "_n" + std::to_string(n);
-      sink.add(tag + "_latency", res.metrics.latency_s, "sim_s");
-      sink.add(tag + "_runs", static_cast<double>(res.metrics.runs),
-               "count");
-    }
+  // ---- fault-free reference ---------------------------------------
+  // The deployment of the outage cells below without the fault: what the
+  // failover costs over. (Every cloud count and placement policy gave
+  // the same latency and run count on this workload, so one row.)
+  CloudWorld ref(2);
+  const auto ref_res =
+      ref.run(fig9_request("mc", core::Placement::kSpread));
+  if (!ref_res.verified || ref_res.metrics.cloud_failovers != 0) {
+    std::fprintf(stderr, "bench_multicloud: fault-free reference did not "
+                 "verify cleanly (verified=%d failovers=%zu)\n",
+                 ref_res.verified ? 1 : 0, ref_res.metrics.cloud_failovers);
+    return 1;
   }
+  check_golden(ref_res, "fault_free");
+  std::printf("\nfault-free, 2 clouds x 16 nodes, spread: latency %.2f "
+              "sim_s, %zu runs\n",
+              ref_res.metrics.latency_s, ref_res.metrics.runs);
+  sink.add("fault_free_latency", ref_res.metrics.latency_s, "sim_s");
+  sink.add("fault_free_runs", static_cast<double>(ref_res.metrics.runs),
+           "count");
 
   // ---- whole-cloud outage: the exit-code bar ----------------------
   // The same fault for both cells: cloud 0 (the home cloud of the

@@ -276,8 +276,9 @@ ScriptSession* ClusterBft::begin_script(const ClientRequest& request) {
   std::map<std::string, std::uint64_t> input_sizes;
   for (dataflow::OpId v : s.plan.loads()) {
     dataflow::OpNode& n = s.plan.node(v);
-    CBFT_CHECK_MSG(dfs_.exists(n.path),
-                   "script input missing from DFS: " + n.path);
+    if (!dfs_.exists(n.path)) {
+      throw InputError("script input missing from DFS: " + n.path);
+    }
     n.declared_input_bytes = dfs_.size_of(n.path);
     input_sizes[n.path] = n.declared_input_bytes;
   }
@@ -399,15 +400,13 @@ void ClusterBft::mark_stalled(ScriptSession& s) {
       } else if (!deps_ready(s, w, j)) {
         std::string dep_sid = "?";
         for (std::size_t d : s.dag.jobs[j].deps) {
-          const bool done =
-              w.includes[d] && w.run_of[d] && cp_.run_complete(*w.run_of[d]);
-          if (!done && !s.verified[d]) {
+          if (!wave_run_done(w, d) && !s.verified[d]) {
             dep_sid = s.dag.jobs[d].sid;
             break;
           }
         }
         why = at + sid + " waiting on unmet dependency " + dep_sid;
-      } else if (w.run_of[j] && cp_.run_complete(*w.run_of[j])) {
+      } else if (wave_run_done(w, j)) {
         why = at + sid +
               " completed without f+1 agreement and no timer pending";
       } else {
@@ -423,6 +422,7 @@ void ClusterBft::mark_stalled(ScriptSession& s) {
 
 ScriptResult ClusterBft::collect_result(ScriptSession& s) {
   ScriptResult result;
+  result.metrics = s.metrics;
   result.metrics.waves = s.waves.size();
   for (std::size_t run : s.my_runs) {
     const auto& m = cp_.run_metrics(run);
@@ -433,13 +433,6 @@ ScriptResult ClusterBft::collect_result(ScriptSession& s) {
     result.metrics.digested += m.digested;
   }
   result.metrics.runs = s.my_runs.size();
-  result.metrics.digest_reports = s.digest_reports;
-  result.metrics.rollbacks = s.rollbacks;
-  result.metrics.cache_hits = s.cache_hits;
-  result.metrics.checkpoints = s.checkpoints;
-  result.metrics.checkpoint_bytes = s.checkpoint_bytes;
-  result.metrics.escalations = s.escalations;
-  result.metrics.cloud_failovers = s.cloud_failovers;
   result.commission_faults_seen = s.commission_seen;
   result.omission_faults_seen = s.omission_seen;
 
@@ -985,7 +978,7 @@ void ClusterBft::create_wave(ScriptSession& s,
                           RecordKind::kCloudFailover, fw.take())) {
       return;
     }
-    ++s.cloud_failovers;
+    ++s.metrics.cloud_failovers;
     const std::string what =
         disputed_job ? s.dag.jobs[*disputed_job].sid : s.request.name;
     audit_.record(now(), AuditEvent::Kind::kCloudFailover,
@@ -1037,6 +1030,11 @@ void ClusterBft::create_wave(ScriptSession& s,
   pump(s);
 }
 
+bool ClusterBft::wave_run_done(const Wave& w, std::size_t job) const {
+  return w.includes[job] && w.run_of[job] &&
+         cp_.run_complete(*w.run_of[job]);
+}
+
 bool ClusterBft::deps_ready(const ScriptSession& s, const Wave& w,
                             std::size_t job) const {
   for (std::size_t d : s.dag.jobs[job].deps) {
@@ -1046,9 +1044,7 @@ bool ClusterBft::deps_ready(const ScriptSession& s, const Wave& w,
       if (!s.verified[d]) return false;
       continue;
     }
-    const bool wave_done =
-        w.includes[d] && w.run_of[d] && cp_.run_complete(*w.run_of[d]);
-    if (wave_done || s.verified[d]) continue;
+    if (wave_run_done(w, d) || s.verified[d]) continue;
     return false;
   }
   return true;
@@ -1073,9 +1069,7 @@ std::vector<std::string> ClusterBft::resolve_inputs(
       paths.push_back(s.verified_path[dep]);
       continue;
     }
-    const bool wave_done = w.includes[dep] && w.run_of[dep] &&
-                           cp_.run_complete(*w.run_of[dep]);
-    if (wave_done) {
+    if (wave_run_done(w, dep)) {
       paths.push_back(cp_.run_output_path(*w.run_of[dep]));
       // An unverified materialised input is a taint edge: if that run
       // later turns out deviant, this job's run is tainted too. A
@@ -1284,7 +1278,7 @@ void ClusterBft::handle_digest(const mapreduce::DigestReport& report,
   const auto it = s.run_info.find(run_id);
   if (it == s.run_info.end()) return;
   if (s.rolled_back_runs.count(run_id)) return;  // forgotten by the verifier
-  ++s.digest_reports;
+  ++s.metrics.digest_reports;
   const MRJobSpec& spec = s.dag.jobs[it->second.job];
   s.verifier->add_report(spec.sid, run_id, report);
 }
@@ -1473,7 +1467,7 @@ void ClusterBft::need_wave(ScriptSession& s, std::size_t j, bool force) {
                           RecordKind::kEscalation, wr.take())) {
       return;
     }
-    ++s.escalations;
+    ++s.metrics.escalations;
     audit_.record(now(), AuditEvent::Kind::kEscalation,
                   s.dag.jobs[j].sid + " escalated to replication degree " +
                       std::to_string(covering + 1) + " (cap " +
@@ -1626,7 +1620,7 @@ void ClusterBft::rollback_tainted(
       return;
     }
     s.rolled_back_runs.insert(run);
-    ++s.rollbacks;
+    ++s.metrics.rollbacks;
     cp_.cancel_run(run);
     s.verifier->forget_run(s.dag.jobs[j].sid, run);
     if (s.first_complete_run[j] && *s.first_complete_run[j] == run) {
@@ -1772,7 +1766,7 @@ void ClusterBft::adopt_cache_hits(ScriptSession& s) {
     s.verified_path[j] = e->path;
     s.verified_fp_hex[j] = e->fingerprint.hex();
     s.contributors[j] = e->contributors;
-    ++s.cache_hits;
+    ++s.metrics.cache_hits;
     audit_.record(now(), AuditEvent::Kind::kCacheHit,
                   s.dag.jobs[j].sid +
                       " adopted verified result from cache (key " +
@@ -1874,11 +1868,11 @@ void ClusterBft::maybe_checkpoint(ScriptSession& s, std::size_t j,
     entry.path = path;
     entry.bytes = dfs_.size_of(path);
     entry.contributors = s.contributors[j];
-    s.checkpoint_bytes += entry.bytes;
+    s.metrics.checkpoint_bytes += entry.bytes;
     s.verified_path[j] = path;
     checkpoints_.insert(key, std::move(entry));
   }
-  ++s.checkpoints;
+  ++s.metrics.checkpoints;
   audit_.record(now(), AuditEvent::Kind::kCheckpoint,
                 s.dag.jobs[j].sid +
                     (adopt ? " adopted checkpoint (key "

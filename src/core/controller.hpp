@@ -414,6 +414,10 @@ class ClusterBft {
 
   std::string wave_scope(const ScriptSession& s, const Wave& w) const
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
+  /// Wave `w` ran `job` and that run completed (its output is
+  /// materialised, verified or not).
+  bool wave_run_done(const Wave& w, std::size_t job) const
+      CLUSTERBFT_REQUIRES(common::scheduler_thread_role);
   bool deps_ready(const ScriptSession& s, const Wave& w,
                   std::size_t job) const
       CLUSTERBFT_REQUIRES(common::scheduler_thread_role);

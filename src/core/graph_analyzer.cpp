@@ -124,8 +124,10 @@ std::vector<mapreduce::VerificationPoint> analyze(
       for (const dataflow::OpNode& n : plan.nodes()) {
         if (n.alias == alias) found = n.id;
       }
-      CBFT_CHECK_MSG(found.has_value(),
-                     "explicit verification point on unknown alias: " + alias);
+      if (!found.has_value()) {
+        throw InputError("explicit verification point on unknown alias: " +
+                         alias);
+      }
       internal.push_back(*found);
     }
   } else {

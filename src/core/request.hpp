@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,16 @@ struct ClientRequest {
   Placement placement = Placement::kSingleCloud;
 };
 
+/// A request the control tier refuses before it becomes a session: the
+/// script LOADs an input the DFS lacks, or pins an explicit verification
+/// point on an alias the script never defines. Nothing is journaled or
+/// dispatched for it. The front end finishes such a request as
+/// FailureReason::kRejected; CBFT_CHECK stays for invariant bugs.
+class InputError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Replica chains a request launches up front: the client's r for the
 /// static assurance class, f+1 for the adaptive one. The frontend's
 /// admission control and the controller's wave scheduling must agree on
@@ -195,6 +206,7 @@ enum class FailureReason {
   kPoolExhausted,         ///< healthy pool below r with DegradedMode::kFail
   kOutputMissing,         ///< a final STORE never materialised in the DFS
   kStalled,               ///< event queue drained with jobs still pending
+  kRejected,              ///< refused at admission (InputError/ParseError)
 };
 
 inline const char* to_string(FailureReason reason) {
@@ -204,6 +216,7 @@ inline const char* to_string(FailureReason reason) {
     case FailureReason::kPoolExhausted: return "pool-exhausted";
     case FailureReason::kOutputMissing: return "output-missing";
     case FailureReason::kStalled: return "stalled";
+    case FailureReason::kRejected: return "rejected";
   }
   return "?";
 }

@@ -95,7 +95,6 @@ struct ScriptSession {
   std::set<std::size_t> attributed_runs;
   /// Cancelled as tainted.
   std::set<std::size_t> rolled_back_runs;
-  std::size_t rollbacks = 0;
   /// The exact SubmitRun bytes journaled for each of my_runs — what
   /// resync() re-sends for runs whose completion was never journaled.
   std::map<std::size_t, std::vector<std::uint8_t>> dispatch_frames;
@@ -123,7 +122,11 @@ struct ScriptSession {
   cluster::SimTime finish_time = 0;
   std::size_t commission_seen = 0;
   std::size_t omission_seen = 0;
-  std::size_t digest_reports = 0;
+  /// Event counters the session bumps as it runs (rollbacks, digest
+  /// reports, cache hits, checkpoints and their bytes, escalations, cloud
+  /// failovers). collect_result() adds the per-run costs, waves and
+  /// latency to a copy.
+  ScriptMetrics metrics;
 
   // ---- verified-result cache bookkeeping (request.use_result_cache) ----
   /// Per job: the sub-graph cache key — SHA-256 over (canonical logical-
@@ -142,17 +145,12 @@ struct ScriptSession {
   /// Per job: hex fingerprint of the verified digest vector (evidence a
   /// cache hit must reproduce byte-identically).
   std::vector<std::string> verified_fp_hex;
-  std::size_t cache_hits = 0;
 
   // ---- adaptive checkpointing (request.adaptive_checkpoints) ----
   /// Per job: selected by the graph analyzer's cost model — when this
   /// job verifies, its relation is materialised to (or adopted from)
   /// the checkpoint store.
   std::vector<bool> ckpt_selected;
-  std::size_t checkpoints = 0;            ///< metrics.checkpoints
-  std::uint64_t checkpoint_bytes = 0;     ///< metrics.checkpoint_bytes
-  std::size_t escalations = 0;            ///< metrics.escalations
-  std::size_t cloud_failovers = 0;        ///< metrics.cloud_failovers
 };
 
 }  // namespace clusterbft::core

@@ -36,9 +36,9 @@ bool sha256_backend_available(Sha256Backend b);
 /// (scalar|shani|avx2|auto) overrides it.
 Sha256Backend sha256_backend();
 
-/// Force the backend for subsequently constructed hashers — the parity
-/// knob check.sh --parity and the dispatch tests use. Aborts if `b` is
-/// not available on this host.
+/// Force the backend for subsequently constructed hashers — the knob the
+/// dispatch tests and bench_micro use. Aborts if `b` is not available on
+/// this host.
 void force_sha256_backend(Sha256Backend b);
 
 /// Multi-block compression: fold `nblocks` consecutive 64-byte blocks

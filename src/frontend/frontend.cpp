@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "dataflow/parser.hpp"
 
 namespace clusterbft::frontend {
 
@@ -77,11 +78,30 @@ bool Frontend::can_admit(const Ticket& t) const {
 void Frontend::admit(std::size_t ticket) {
   Ticket& t = tickets_[ticket];
   Tenant& tenant = tenants_[t.submission.tenant];
-  t.session = controller_.begin_session(t.submission.request);
+  try {
+    t.session = controller_.begin_session(t.submission.request);
+  } catch (const core::InputError&) {
+    reject(t);
+    return;
+  } catch (const dataflow::ParseError&) {
+    reject(t);
+    return;
+  }
   ++tenant.inflight;
   ++inflight_total_;
   inflight_demand_ += core::base_replication(t.submission.request);
   ++metrics_.admitted;
+}
+
+void Frontend::reject(Ticket& t) {
+  // The controller refused the script before it became a session (bad
+  // syntax, missing input, unknown verification-point alias): this one
+  // request fails, every other tenant keeps running.
+  t.result.emplace();
+  t.result->failure = core::FailureReason::kRejected;
+  t.collected = true;
+  t.finish_time = sim_.now();
+  ++metrics_.failed;
 }
 
 bool Frontend::admit_some() {

@@ -29,6 +29,12 @@
 // request completed, then freezes the service metrics (admitted / queued
 // peak / completed / failed, p50 & p99 service latency including queue
 // wait, and simulated-time throughput).
+//
+// A request the controller refuses at admission (dataflow::ParseError or
+// core::InputError: bad syntax, a missing input, an unknown
+// verification-point alias) finishes at once, unverified, as
+// FailureReason::kRejected and counts in `failed`, not `admitted`. It
+// never takes the other tenants down with it.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +75,7 @@ struct ServiceMetrics {
   std::size_t submitted = 0;
   std::size_t admitted = 0;
   std::size_t completed = 0;  ///< verified
-  std::size_t failed = 0;     ///< finished unverified
+  std::size_t failed = 0;     ///< finished unverified (rejected included)
   /// Largest number of requests simultaneously queued (not yet admitted).
   std::size_t queued_peak = 0;
   /// Service latency = finish - submit (queue wait + execution), sim time.
@@ -123,6 +129,8 @@ class Frontend {
   bool admit_some();
   bool can_admit(const Ticket& t) const;
   void admit(std::size_t ticket);
+  /// Finish a ticket the controller refused at admission as kRejected.
+  void reject(Ticket& t);
   /// Collect every finished, uncollected admitted ticket.
   void collect_finished();
   std::size_t queued_total() const;

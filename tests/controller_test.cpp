@@ -254,7 +254,7 @@ TEST(ControllerTest, MissingInputFailsFast) {
   const auto req = baseline::cluster_bft("a = LOAD 'absent' AS (x:long);\n"
                                          "STORE a INTO 'o';\n",
                                          "x", 1, 2, 1);
-  EXPECT_THROW(w.controller->execute(req), CheckError);
+  EXPECT_THROW(w.controller->execute(req), InputError);
 }
 
 TEST(ControllerTest, SuspicionThresholdEvictsByzantineNode) {

@@ -11,7 +11,9 @@
 //  * a stalled session fails with diagnostics naming the session, wave,
 //    and what it was waiting on;
 //  * the front end's WRR admission respects tenant caps and reports
-//    service metrics.
+//    service metrics;
+//  * a request the controller refuses at admission fails alone, as
+//    kRejected, and leaves every other tenant's result unchanged.
 #include "frontend/frontend.hpp"
 
 #include <gtest/gtest.h>
@@ -418,6 +420,63 @@ TEST(FrontendTest, StalledSessionDiagnosticsNameWaveAndDependency) {
   const ServiceMetrics m = fe.metrics();
   EXPECT_EQ(m.failed, 1u);
   EXPECT_EQ(m.completed, 0u);
+}
+
+// ------------------------------------------------------- hostile input
+
+TEST(FrontendTest, HostileTenantIsRejectedWithoutTakingOthersDown) {
+  // One tenant submits scripts the controller must refuse: a LOAD of an
+  // input the DFS lacks, a syntax error, and an explicit verification
+  // point on an alias the script never defines. Each must finish as
+  // kRejected; the other tenant's request must run exactly as it would
+  // alone.
+  const ClientRequest good = make_request(
+      {.tenant = "good", .weight = 1, .priority = 0, .name = "good",
+       .script = workloads::twitter_follower_analysis()},
+      /*use_cache=*/false);
+  const ClientRequest absent = baseline::cluster_bft(
+      "a = LOAD 'absent' AS (x:long);\nSTORE a INTO 'o';\n", "absent", 1,
+      2, 1);
+  const ClientRequest garbled = baseline::cluster_bft(
+      "a = LOAD 'twitter/edges' AS (;\nSTORE a INTO 'o';\n", "garbled", 1,
+      2, 1);
+  ClientRequest unknown_vp = baseline::cluster_bft(
+      workloads::twitter_follower_analysis(), "unknown-vp", 1, 2, 1);
+  unknown_vp.explicit_vp_aliases = {"no_such_alias"};
+
+  World w;
+  Frontend fe(*w.controller, w.sim, {});
+  std::vector<std::size_t> bad;
+  for (const ClientRequest& req : {absent, garbled, unknown_vp}) {
+    Submission s;
+    s.request = req;
+    s.tenant = "bad";
+    bad.push_back(fe.submit(s));
+  }
+  Submission s;
+  s.request = good;
+  s.tenant = "good";
+  const std::size_t t = fe.submit(s);
+  ASSERT_NO_THROW(fe.run());
+
+  for (std::size_t b : bad) {
+    const ScriptResult* res = fe.result(b);
+    ASSERT_NE(res, nullptr) << "ticket " << b;
+    EXPECT_FALSE(res->verified);
+    EXPECT_EQ(res->failure, core::FailureReason::kRejected);
+    EXPECT_TRUE(res->outputs.empty());
+  }
+  const ScriptResult* res = fe.result(t);
+  ASSERT_NE(res, nullptr);
+  EXPECT_TRUE(res->verified);
+  World solo;
+  expect_equal_modulo_latency(*res, solo.controller->execute(good), "good");
+
+  const ServiceMetrics m = fe.metrics();
+  EXPECT_EQ(m.submitted, 4u);
+  EXPECT_EQ(m.admitted, 1u);
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.failed, 3u);
 }
 
 }  // namespace

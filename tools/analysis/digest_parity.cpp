@@ -1,4 +1,4 @@
-// Digest-parity transcript generator for `tools/check.sh --parity`.
+// Digest-parity transcript generator for the `digest_parity` ctest.
 //
 // Replays the 24-seed random-plan sweep from
 // tests/determinism_test.cpp (VerificationPointDigestsBitStable) and

@@ -1,5 +1,5 @@
 # SHA-256 dispatch parity gate, run as the `digest_parity` ctest (label:
-# parity) and by `tools/check.sh --parity`:
+# parity; `ctest --test-dir build -L parity` runs it alone):
 #
 #   cmake -DPARITY_BIN=<digest_parity> -DGOLDEN=<digest_parity.sha256>
 #         -DOUT_DIR=<dir> -P tools/parity_check.cmake

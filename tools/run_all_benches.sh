@@ -2,21 +2,18 @@
 # Regenerates every paper table/figure plus the ablations and
 # micro-benchmarks. Used to produce bench_output.txt.
 #
-# Each bench drops a BENCH_<name>.json next to the binary's working
-# directory; after the sweep they are merged into one bench_results.json
-# (keyed by <name>, keys sorted) so a single artifact carries the whole
-# reproduction run.
+# Each bench drops a BENCH_<name>.json into the working directory (the
+# repo root).
 #
 # Failure policy: a bench that exits nonzero aborts the sweep immediately,
-# and stale BENCH_*.json from earlier runs are removed up front — so a
-# bench_results.json is only ever produced from a fully fresh, fully
-# green sweep, never silently merged from leftovers.
+# and stale BENCH_*.json from earlier runs are removed up front — so every
+# BENCH_*.json left behind comes from this fully green sweep.
 set -eu
 cd "$(dirname "$0")/.."
 
 # Drop artifacts of previous sweeps before running anything: a bench that
-# crashes must not leave its old JSON around to be merged as if current.
-rm -f BENCH_*.json bench_results.json
+# crashes must not leave its old JSON around as if current.
+rm -f BENCH_*.json
 
 ran=0
 for b in build/bench/*; do
@@ -34,25 +31,4 @@ done
 if [ "$ran" -eq 0 ]; then
   echo "FATAL: no bench binaries found under build/bench/ (build them first)" >&2
   exit 1
-fi
-
-if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF'
-import glob
-import json
-
-merged = {}
-for path in sorted(glob.glob("BENCH_*.json")):
-    name = path[len("BENCH_"):-len(".json")]
-    with open(path, encoding="utf-8") as f:
-        merged[name] = json.load(f)
-if not merged:
-    raise SystemExit("FATAL: benches ran but produced no BENCH_*.json")
-with open("bench_results.json", "w", encoding="utf-8") as f:
-    json.dump(merged, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(f"merged {len(merged)} BENCH_*.json file(s) into bench_results.json")
-EOF
-else
-  echo "python3 not found; skipping the bench_results.json merge" >&2
 fi
