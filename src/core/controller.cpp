@@ -544,7 +544,7 @@ std::vector<ScriptResult> ClusterBft::recover_all(
   throw_if_crashed();
 
   // Begin every request the crashed life never durably started, in
-  // request order, and map each request to its session.
+  // request order, and map each request to its session (0: rejected).
   std::vector<std::size_t> session_for(requests.size(), 0);
   std::map<std::string, std::size_t> seen;
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -555,7 +555,14 @@ std::vector<ScriptResult> ClusterBft::recover_all(
       session_for[i] = it->second[nth];
       continue;
     }
-    ScriptSession* s = begin_script(requests[i]);
+    ScriptSession* s = nullptr;
+    try {
+      s = begin_script(requests[i]);
+    } catch (const InputError&) {
+      continue;
+    } catch (const dataflow::ParseError&) {
+      continue;
+    }
     throw_if_crashed();
     session_for[i] = s->id;
   }
@@ -563,10 +570,13 @@ std::vector<ScriptResult> ClusterBft::recover_all(
   drive(nullptr);
   // Sessions that finished before the crash are collected here too; their
   // replayed kScriptFinish keeps collect_result from appending another.
-  std::vector<ScriptResult> out;
-  out.reserve(requests.size());
-  for (const std::size_t id : session_for) {
-    out.push_back(collect_result(*sessions_[id - 1]));
+  std::vector<ScriptResult> out(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (session_for[i] == 0) {
+      out[i].failure = FailureReason::kRejected;
+    } else {
+      out[i] = collect_result(*sessions_[session_for[i] - 1]);
+    }
   }
   return out;
 }

@@ -149,7 +149,10 @@ class ClusterBft {
   /// the crashed life never durably started, drive everything to
   /// completion, and return the results in request order. Sessions that
   /// finished before the crash are re-collected without duplicating
-  /// their kScriptFinish record.
+  /// their kScriptFinish record. A request that admission refuses
+  /// (InputError/ParseError — never journaled, so it is begun afresh
+  /// here) gets a kRejected result, as the front end gives it; the other
+  /// requests still run.
   std::vector<ScriptResult> recover_all(
       const std::vector<ClientRequest>& requests);
 

@@ -286,7 +286,10 @@ Value eval_aggregate(const Expr& e, const Tuple& input) {
       case AggFunc::kSum:
       case AggFunc::kAvg:
         if (v.type() == ValueType::kLong) {
-          lsum += v.as_long();
+          // Two's-complement wrap, defined (and order-independent, which
+          // fold_group_aggregates relies on) where signed `+=` is not.
+          lsum = static_cast<std::int64_t>(static_cast<std::uint64_t>(lsum) +
+                                           static_cast<std::uint64_t>(v.as_long()));
         } else {
           all_long = false;
         }

@@ -1,10 +1,13 @@
 #include "dataflow/ops_eval.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
+#include "dataflow/expr.hpp"
 #include "dataflow/key_index.hpp"
 
 namespace clusterbft::dataflow {
@@ -20,20 +23,23 @@ Relation eval_filter(const OpNode& op, Relation in) {
   return Relation(op.schema, std::move(rows));
 }
 
+/// Append GENERATE item `g`'s value `v` to the output row `o`: a
+/// FLATTENed tuple contributes its fields, anything else itself.
+static void append_generated(Tuple& o, const GenField& g, Value v) {
+  if (g.flatten && v.type() == ValueType::kTuple) {
+    for (const Value& f : v.as_tuple()->fields) o.fields.push_back(f);
+  } else {
+    o.fields.push_back(std::move(v));
+  }
+}
+
 Relation eval_foreach(const OpNode& op, const Relation& in) {
   Relation out(op.schema);
   out.reserve(in.size());
   for (const Tuple& t : in.rows()) {
     Tuple o;
     o.fields.reserve(op.schema.size());
-    for (const GenField& g : op.gen) {
-      Value v = eval_expr(*g.expr, t);
-      if (g.flatten && v.type() == ValueType::kTuple) {
-        for (const Value& f : v.as_tuple()->fields) o.fields.push_back(f);
-      } else {
-        o.fields.push_back(std::move(v));
-      }
-    }
+    for (const GenField& g : op.gen) append_generated(o, g, eval_expr(*g.expr, t));
     CBFT_CHECK_MSG(o.size() == op.schema.size(),
                    "FLATTEN arity mismatch at runtime");
     out.add(std::move(o));
@@ -57,17 +63,30 @@ namespace {
 /// First-occurrence entry ids ordered by canonical key *value* — the
 /// deterministic emission order the ordered-map implementation used to
 /// provide for free, now paid only over distinct keys. `key_of(id)` must
-/// return the key Value of entry `id`.
+/// return the key Value of entry `id`. Entries have distinct canonical
+/// key bytes, so canonical_order leaves no tie for input order to break.
+/// All-long keys (distinct bytes, so distinct longs) sort as plain
+/// (long, id) pairs.
 template <typename KeyOf>
 std::vector<std::size_t> key_sorted_ids(std::size_t n, KeyOf key_of) {
   std::vector<Value> keys;
   keys.reserve(n);
   for (std::size_t id = 0; id < n; ++id) keys.push_back(key_of(id));
   std::vector<std::size_t> order(n);
+  std::vector<std::pair<std::int64_t, std::size_t>> longs;
+  longs.reserve(n);
+  for (std::size_t id = 0; id < n && keys[id].if_long() != nullptr; ++id) {
+    longs.emplace_back(*keys[id].if_long(), id);
+  }
+  if (longs.size() == n) {
+    std::sort(longs.begin(), longs.end());
+    for (std::size_t i = 0; i < n; ++i) order[i] = longs[i].second;
+    return order;
+  }
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),
             [&keys](std::size_t a, std::size_t b) {
-              return (keys[a] <=> keys[b]) < 0;
+              return canonical_order(keys[a], keys[b]) < 0;
             });
   return order;
 }
@@ -83,22 +102,82 @@ std::vector<std::size_t> non_key_columns(
   return cols;
 }
 
-/// Sort a bag into canonical full-tuple order. Every row of a bag has
+/// Sorts bags into canonical full-tuple order. Every row of a bag has
 /// byte-identical key columns — that is how it got into the bag — so
 /// comparing them could only return `equal`; comparing the remaining
-/// columns `cols` (ascending) and then the arity yields exactly the
-/// full-tuple order with fewer Value comparisons.
-void sort_bag(std::vector<Tuple>& rows, const std::vector<std::size_t>& cols) {
-  std::sort(rows.begin(), rows.end(), [&cols](const Tuple& a, const Tuple& b) {
-    const std::size_t n = std::min(a.size(), b.size());
-    for (const std::size_t c : cols) {
-      if (c >= n) break;
-      const auto o = a.fields[c] <=> b.fields[c];
-      if (o != std::strong_ordering::equal) return o < 0;
+/// columns `cols` (ascending), then the arity, then canonical_tiebreak
+/// over `cols` yields exactly canonical_order with fewer comparisons.
+///
+/// The kernel: when one column is compared and every row has the same
+/// arity and a long there (a GROUP BY key plus one value, like the Fig. 9
+/// follower bags), it sorts (long, row index) pairs and permutes the rows
+/// once in place, instead of calling the out-of-line Value comparison
+/// O(n log n) times. Rows that tie on the long are byte-identical (their
+/// key columns are too), so the result equals the generic sort's. One
+/// sorter serves every bag of a GROUP/COGROUP, so the pair buffer is
+/// allocated once, not per bag.
+class BagSorter {
+ public:
+  explicit BagSorter(std::vector<std::size_t> cols) : cols_(std::move(cols)) {}
+
+  void sort(std::vector<Tuple>& rows) {
+    if (rows.size() < 2 || sort_longs(rows)) return;
+    std::sort(rows.begin(), rows.end(), [this](const Tuple& a, const Tuple& b) {
+      const std::size_t n = std::min(a.size(), b.size());
+      for (const std::size_t c : cols_) {
+        if (c >= n) break;
+        const auto o = a.fields[c] <=> b.fields[c];
+        if (o != std::strong_ordering::equal) return o < 0;
+      }
+      if (a.size() != b.size()) return a.size() < b.size();
+      for (const std::size_t c : cols_) {
+        if (c >= n) break;
+        const auto o = canonical_tiebreak(a.fields[c], b.fields[c]);
+        if (o != std::strong_ordering::equal) return o < 0;
+      }
+      return false;
+    });
+  }
+
+ private:
+  /// The kernel; false, leaving `rows` alone, when a row does not qualify.
+  bool sort_longs(std::vector<Tuple>& rows) {
+    if (cols_.size() != 1) return false;
+    const std::size_t c = cols_.front();
+    const std::size_t n = rows.size();
+    const std::size_t arity = rows.front().size();
+    keyed_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t* x =
+          rows[i].size() == arity && c < arity ? rows[i].fields[c].if_long()
+                                               : nullptr;
+      if (x == nullptr) return false;
+      keyed_.emplace_back(*x, i);
     }
-    return a.size() < b.size();
-  });
-}
+    std::sort(keyed_.begin(), keyed_.end());
+    // rows[j] := old rows[keyed_[j].second], cycle by cycle; a placed
+    // slot is marked keyed_[j].second == j.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (keyed_[i].second == i) continue;
+      Tuple held = std::move(rows[i]);
+      std::size_t j = i;
+      for (;;) {
+        const std::size_t from = keyed_[j].second;
+        keyed_[j].second = j;
+        if (from == i) {
+          rows[j] = std::move(held);
+          break;
+        }
+        rows[j] = std::move(rows[from]);
+        j = from;
+      }
+    }
+    return true;
+  }
+
+  std::vector<std::size_t> cols_;
+  std::vector<std::pair<std::int64_t, std::size_t>> keyed_;
+};
 
 }  // namespace
 
@@ -108,31 +187,164 @@ Relation eval_group(const OpNode& op, Relation in) {
   // canonical key order with canonically sorted bags, which makes the
   // result independent of the input row order — replicas fed the shuffle
   // in different map-completion orders still produce identical bytes.
-  // The rows are owned, so each moves into its bag.
-  KeyIndex idx(in.size() / 4 + 1);
-  std::vector<std::vector<Tuple>> bags;
+  // The rows are owned, so each moves into its bag, sized up front from
+  // a first pass that interns every row's key.
+  std::vector<Tuple>& rows = in.rows();
+  KeyIndex idx(rows.size() / 4 + 1);
+  std::vector<std::size_t> bag_of(rows.size());
+  std::vector<std::size_t> sizes;
   std::size_t width = 0;
   std::string buf;
-  for (Tuple& t : in.rows()) {
-    const std::uint64_t h = tuple_cols_hash(t, op.group_keys, buf);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::uint64_t h = tuple_cols_hash(rows[r], op.group_keys, buf);
     const std::size_t id = idx.intern(buf, h);
-    if (id == bags.size()) bags.emplace_back();
-    width = std::max(width, t.size());
-    bags[id].push_back(std::move(t));
+    if (id == sizes.size()) sizes.push_back(0);
+    ++sizes[id];
+    bag_of[r] = id;
+    width = std::max(width, rows[r].size());
   }
-  // Any row of a bag carries its key (see sort_bag).
+  std::vector<std::vector<Tuple>> bags(sizes.size());
+  for (std::size_t id = 0; id < bags.size(); ++id) bags[id].reserve(sizes[id]);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    bags[bag_of[r]].push_back(std::move(rows[r]));
+  }
+  // Any row of a bag carries its key (see BagSorter).
   const auto order = key_sorted_ids(idx.size(), [&](std::size_t id) {
     return extract_key(bags[id].front(), op.group_keys);
   });
-  const std::vector<std::size_t> cols = non_key_columns(width, op.group_keys);
+  BagSorter sorter(non_key_columns(width, op.group_keys));
   Relation out(op.schema);
   out.reserve(order.size());
   for (const std::size_t id : order) {
     Tuple o;
     o.fields.push_back(extract_key(bags[id].front(), op.group_keys));
-    sort_bag(bags[id], cols);
+    sorter.sort(bags[id]);
     o.fields.push_back(Value(
         std::make_shared<const std::vector<Tuple>>(std::move(bags[id]))));
+    out.add(std::move(o));
+  }
+  return out;
+}
+
+namespace {
+
+/// One folded aggregate of one group.
+struct Fold {
+  std::int64_t count = 0;       ///< rows (COUNT of the bag) or non-nulls
+  std::uint64_t sum = 0;        ///< SUM over longs, wrapping as the bag path
+  const Value* best = nullptr;  ///< MIN/MAX so far, a value of the input
+};
+
+/// A GENERATE item the fold computes: `group`, or COUNT/SUM/MIN/MAX
+/// applied directly to the bag column.
+bool foldable(const GenField& g) {
+  const Expr& e = *g.expr;
+  if (e.kind == Expr::Kind::kColumn) return e.column == 0;
+  return e.kind == Expr::Kind::kAggregate && e.bag_column == 1 &&
+         e.agg_func != AggFunc::kAvg &&
+         (e.agg_func == AggFunc::kCount || e.inner_column.has_value());
+}
+
+/// Fold row `t` of a group into `f`, the state of aggregate `e`. False
+/// when the row breaks the guard under which folding in input order gives
+/// the bag path's bytes: SUM over a non-long; MIN/MAX over anything but
+/// one type, long or chararray, per group; an inner column past the row.
+bool fold_row(const Expr& e, const Tuple& t, Fold& f) {
+  if (e.kind == Expr::Kind::kColumn) return true;
+  if (!e.inner_column) {
+    ++f.count;
+    return true;
+  }
+  if (*e.inner_column >= t.size()) return false;
+  const Value& v = t.fields[*e.inner_column];
+  if (v.is_null()) return true;  // Pig aggregates skip nulls
+  ++f.count;
+  switch (e.agg_func) {
+    case AggFunc::kCount:
+      return true;
+    case AggFunc::kSum:
+      if (v.type() != ValueType::kLong) return false;
+      f.sum += static_cast<std::uint64_t>(v.as_long());
+      return true;
+    case AggFunc::kMin:
+    case AggFunc::kMax: {
+      if (v.type() != ValueType::kLong && v.type() != ValueType::kChararray) {
+        return false;
+      }
+      if (f.best == nullptr) {
+        f.best = &v;
+        return true;
+      }
+      if (f.best->type() != v.type()) return false;
+      const auto c = v <=> *f.best;
+      if (e.agg_func == AggFunc::kMin ? c < 0 : c > 0) f.best = &v;
+      return true;
+    }
+    case AggFunc::kAvg:
+      return false;
+  }
+  return false;
+}
+
+/// The value aggregate `e` takes over a group folded into `f`.
+Value folded_value(const Expr& e, const Fold& f) {
+  switch (e.agg_func) {
+    case AggFunc::kCount:
+      return Value(f.count);
+    case AggFunc::kSum:
+      if (f.count == 0) return Value::null();
+      return Value(static_cast<std::int64_t>(f.sum));
+    default:
+      return f.best != nullptr ? *f.best : Value::null();
+  }
+}
+
+}  // namespace
+
+std::optional<Relation> fold_group_aggregates(const OpNode& group,
+                                              const OpNode& consumer,
+                                              const Relation& in) {
+  if (consumer.kind != OpKind::kForeach ||
+      !std::all_of(consumer.gen.begin(), consumer.gen.end(), foldable)) {
+    return std::nullopt;
+  }
+  const std::vector<Tuple>& rows = in.rows();
+  const std::size_t width = consumer.gen.size();
+  KeyIndex idx(rows.size() / 4 + 1);
+  std::vector<std::size_t> first_row;  // per group: a row carrying its key
+  std::vector<Fold> folds;             // [group * width + item]
+  std::string buf;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::uint64_t h = tuple_cols_hash(rows[r], group.group_keys, buf);
+    const std::size_t id = idx.intern(buf, h);
+    if (id == first_row.size()) {
+      first_row.push_back(r);
+      folds.resize(folds.size() + width);
+    }
+    for (std::size_t i = 0; i < width; ++i) {
+      if (!fold_row(*consumer.gen[i].expr, rows[r], folds[id * width + i])) {
+        return std::nullopt;
+      }
+    }
+  }
+  const auto key_of = [&](std::size_t id) {
+    return extract_key(rows[first_row[id]], group.group_keys);
+  };
+  const auto order = key_sorted_ids(idx.size(), key_of);
+  Relation out(consumer.schema);
+  out.reserve(order.size());
+  for (const std::size_t id : order) {
+    Tuple o;
+    o.fields.reserve(consumer.schema.size());
+    for (std::size_t i = 0; i < width; ++i) {
+      const GenField& g = consumer.gen[i];
+      append_generated(o, g,
+                       g.expr->kind == Expr::Kind::kColumn
+                           ? key_of(id)
+                           : folded_value(*g.expr, folds[id * width + i]));
+    }
+    CBFT_CHECK_MSG(o.size() == consumer.schema.size(),
+                   "FLATTEN arity mismatch at runtime");
     out.add(std::move(o));
   }
   return out;
@@ -166,7 +378,9 @@ Relation eval_join(const OpNode& op, const Relation& left,
     // ever sorting the (small) per-key lists of the build side.
     for (std::vector<const Tuple*>& list : matches) {
       std::sort(list.begin(), list.end(),
-                [](const Tuple* a, const Tuple* b) { return (*a <=> *b) < 0; });
+                [](const Tuple* a, const Tuple* b) {
+                  return canonical_order(*a, *b) < 0;
+                });
     }
   }
   Relation out(op.schema);
@@ -208,15 +422,15 @@ Relation eval_cogroup(const OpNode& op, const Relation& left,
     }
     return non_key_columns(width, key_cols);
   };
-  const auto left_cols = absorb(left, op.left_keys, /*is_left=*/true);
-  const auto right_cols = absorb(right, op.right_keys, /*is_left=*/false);
+  BagSorter left_sorter(absorb(left, op.left_keys, /*is_left=*/true));
+  BagSorter right_sorter(absorb(right, op.right_keys, /*is_left=*/false));
   const auto order = key_sorted_ids(
       idx.size(), [&](std::size_t id) { return keys[id]; });
   Relation out(op.schema);
   out.reserve(order.size());
   for (const std::size_t id : order) {
-    sort_bag(bags[id].first, left_cols);
-    sort_bag(bags[id].second, right_cols);
+    left_sorter.sort(bags[id].first);
+    right_sorter.sort(bags[id].second);
     Tuple o;
     o.fields.push_back(std::move(keys[id]));
     o.fields.push_back(Value(std::make_shared<const std::vector<Tuple>>(
@@ -260,7 +474,7 @@ Relation eval_order(const OpNode& op, Relation in) {
                      }
                      // Full-tuple tiebreak keeps the order deterministic
                      // across replicas even for equal keys.
-                     return (a <=> b) < 0;
+                     return canonical_order(a, b) < 0;
                    });
   return Relation(op.schema, std::move(rows));
 }

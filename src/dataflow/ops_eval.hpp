@@ -12,6 +12,7 @@
 // and pays one copy at the call.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "dataflow/plan.hpp"
@@ -27,7 +28,34 @@ Relation eval_foreach(const OpNode& op, const Relation& in);
 /// independent of the input row order (every replica, regardless of the
 /// order tuples arrived from the shuffle, produces byte-identical groups
 /// — the determinism fix §5.4 defers to future work, implemented here).
+///
+/// GROUP pays for its bags in one of three ways:
+/// - *sorted by the kernel*: a bag with one non-key column whose rows have
+///   one arity and a long there (the Fig. 9 follower bags) sorts (long,
+///   index) pairs, then permutes its rows once;
+/// - *sorted generically*: any other bag (nulls, doubles, strings, mixed
+///   arity, several non-key columns) sorts with the Value comparator and
+///   canonical_tiebreak;
+/// - *folded*: fold_group_aggregates below builds no bag at all. The
+///   reduce task uses it where no verification point digests the bags.
 Relation eval_group(const OpNode& op, Relation in);
+
+/// GROUP `group` followed by its sole consumer `consumer`, computed
+/// without bags: byte-identical to
+/// `eval_foreach(consumer, eval_group(group, in))`, and in the same
+/// canonical key order. Applies when every GENERATE item of the FOREACH
+/// `consumer` is `group` (column 0, FLATTEN allowed) or a bare COUNT,
+/// SUM, MIN or MAX on the bag column; the aggregates are folded per key
+/// in input order, with `in`'s rows read in place. Returns nullopt for
+/// any other consumer (AVG sums doubles, so its result depends on bag
+/// order; UDF aggregates and expression trees are opaque), and when a
+/// row breaks the guard under which input order cannot show: SUM over a
+/// non-long, MIN/MAX over values not all of one type (long or
+/// chararray) within a group. The caller then runs the bag path on the
+/// same rows.
+std::optional<Relation> fold_group_aggregates(const OpNode& group,
+                                              const OpNode& consumer,
+                                              const Relation& in);
 
 /// Inner equi-join (null keys never match). Output rows follow the left
 /// input order; per-key right matches follow the right input order, or —

@@ -37,7 +37,7 @@ std::vector<Tuple> Relation::sorted_rows() const {
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [this](std::size_t a, std::size_t b) {
-              return (rows_[a] <=> rows_[b]) < 0;
+              return canonical_order(rows_[a], rows_[b]) < 0;
             });
   std::vector<Tuple> out;
   out.reserve(rows_.size());

@@ -71,7 +71,7 @@ class Relation {
   /// add(), append() of an uncounted relation, and mutable rows() forget it.
   void set_byte_size(std::uint64_t bytes) { bytes_ = bytes; }
 
-  /// Rows in canonical (full-tuple) order — the one canonical sort used
+  /// Rows in canonical_order (full-tuple) — the one canonical sort used
   /// by order-sensitive reduce inputs (LIMIT, the JOIN probe side) and by
   /// order-insensitive output comparison in tests. Index-sorted: tuples
   /// are deep (strings, bags), so sorting an index vector and gathering

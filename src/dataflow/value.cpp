@@ -1,6 +1,8 @@
 #include "dataflow/value.hpp"
 
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -111,6 +113,15 @@ std::strong_ordering order_doubles(double a, double b) {
   return std::strong_ordering::equal;
 }
 
+std::strong_ordering tuple_tiebreak(const Tuple& a, const Tuple& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto c = canonical_tiebreak(a.fields[i], b.fields[i]);
+    if (c != std::strong_ordering::equal) return c;
+  }
+  return std::strong_ordering::equal;
+}
+
 }  // namespace
 
 bool operator==(const Value& a, const Value& b) {
@@ -156,6 +167,44 @@ std::strong_ordering operator<=>(const Value& a, const Value& b) {
              **std::get_if<BoxedTuple>(&b.v_);
   }
   return std::strong_ordering::equal;
+}
+
+std::strong_ordering canonical_tiebreak(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return a.type() <=> b.type();
+  switch (a.type()) {
+    case ValueType::kDouble: {
+      const double x = a.as_double();
+      const double y = b.as_double();
+      if (std::signbit(x) != std::signbit(y)) {
+        return std::signbit(x) ? std::strong_ordering::less
+                               : std::strong_ordering::greater;
+      }
+      return std::bit_cast<std::uint64_t>(x) <=> std::bit_cast<std::uint64_t>(y);
+    }
+    case ValueType::kBag: {
+      const auto& x = *a.as_bag();
+      const auto& y = *b.as_bag();
+      for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) {
+        const auto c = tuple_tiebreak(x[i], y[i]);
+        if (c != std::strong_ordering::equal) return c;
+      }
+      return std::strong_ordering::equal;
+    }
+    case ValueType::kTuple:
+      return tuple_tiebreak(*a.as_tuple(), *b.as_tuple());
+    default:
+      return std::strong_ordering::equal;
+  }
+}
+
+std::strong_ordering canonical_order(const Value& a, const Value& b) {
+  const auto c = a <=> b;
+  return c != std::strong_ordering::equal ? c : canonical_tiebreak(a, b);
+}
+
+std::strong_ordering canonical_order(const Tuple& a, const Tuple& b) {
+  const auto c = a <=> b;
+  return c != std::strong_ordering::equal ? c : tuple_tiebreak(a, b);
 }
 
 std::string Value::to_string() const {

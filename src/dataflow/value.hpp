@@ -88,6 +88,10 @@ class Value {
   const Bag& as_bag() const;
   const BoxedTuple& as_tuple() const;
 
+  /// The long this value holds, or null for any other type: the
+  /// unchecked read for loops that test the type anyway (bag sorts).
+  const std::int64_t* if_long() const { return std::get_if<std::int64_t>(&v_); }
+
   /// Numeric coercion: longs and doubles convert; everything else checks.
   double to_double() const;
 
@@ -107,6 +111,21 @@ class Value {
                BoxedTuple>
       v_;
 };
+
+/// Canonical order: `<=>`, with its ties broken so that only values whose
+/// canonical bytes are identical compare equal. `<=>` equates values that
+/// serialise differently (long 1 and double 1.0; -0.0 and 0.0), so a sort
+/// by `<=>` alone would emit such values in input order, and replicas fed
+/// the shuffle in different orders would digest different bytes. The
+/// canonical sorts (GROUP keys and bags, JOIN match lists, sorted_rows,
+/// ORDER's tiebreak) use this order; `==`, `<=>` and FILTER do not.
+std::strong_ordering canonical_order(const Value& a, const Value& b);
+std::strong_ordering canonical_order(const Tuple& a, const Tuple& b);
+
+/// The tiebreak alone, for values `<=>` already found equal: by type tag
+/// (long before double), then for doubles by sign bit (negative first)
+/// and bit pattern, recursing into bags and nested tuples.
+std::strong_ordering canonical_tiebreak(const Value& a, const Value& b);
 
 /// Canonical serialisation of a whole tuple.
 std::string serialize_tuple(const Tuple& t);

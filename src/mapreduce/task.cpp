@@ -1,6 +1,7 @@
 #include "mapreduce/task.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,6 +57,52 @@ std::vector<Relation> sole_input(Relation& rel) {
   std::vector<Relation> ins;
   ins.push_back(std::move(rel));
   return ins;
+}
+
+bool marked(const MRJobSpec& job, OpId vertex) {
+  return std::any_of(job.vps.begin(), job.vps.end(),
+                     [vertex](const VerificationPoint& vp) {
+                       return vp.vertex == vertex;
+                     });
+}
+
+/// The blocking operator over this partition's shuffle input.
+///
+/// Replica determinism without a full canonical sort of every shuffle
+/// input: GROUP/COGROUP/DISTINCT/ORDER are order-insensitive (they hash-
+/// partition on canonical key bytes and emit key-sorted, or sort rows
+/// themselves), so they consume the shuffle input as-is regardless of map
+/// completion order. Only genuinely order-sensitive inputs still sort:
+/// LIMIT's single input and the JOIN probe (left) side — the build side
+/// instead gets canonical per-key match lists, which reproduces the same
+/// bytes as joining two fully sorted inputs.
+Relation eval_blocking(const OpNode& blocking,
+                       std::vector<Relation> inputs_by_tag) {
+  switch (blocking.kind) {
+    case OpKind::kGroup:
+    case OpKind::kDistinct:
+    case OpKind::kOrder:
+      CBFT_CHECK(inputs_by_tag.size() == 1);
+      return dataflow::eval_op(blocking, std::move(inputs_by_tag));
+    case OpKind::kLimit: {
+      CBFT_CHECK(inputs_by_tag.size() == 1);
+      Relation in(inputs_by_tag[0].schema(), inputs_by_tag[0].sorted_rows());
+      return dataflow::eval_limit(blocking, in);
+    }
+    case OpKind::kJoin: {
+      CBFT_CHECK(inputs_by_tag.size() == 2);
+      Relation l(inputs_by_tag[0].schema(), inputs_by_tag[0].sorted_rows());
+      return dataflow::eval_join(blocking, l, inputs_by_tag[1],
+                                 /*canonical_matches=*/true);
+    }
+    case OpKind::kCogroup:
+      CBFT_CHECK(inputs_by_tag.size() == 2);
+      return dataflow::eval_cogroup(blocking, inputs_by_tag[0],
+                                    inputs_by_tag[1]);
+    default:
+      CBFT_CHECK_MSG(false, "not a blocking operator");
+  }
+  return Relation();
 }
 
 }  // namespace
@@ -162,52 +209,31 @@ ReduceTaskResult run_reduce_task(const LogicalPlan& plan, const MRJobSpec& job,
     result.metrics.records_in += r.size();
   }
 
-  // Replica determinism without a full canonical sort of every shuffle
-  // input: GROUP/COGROUP/DISTINCT/ORDER are order-insensitive (they hash-
-  // partition on canonical key bytes and emit key-sorted, or sort rows
-  // themselves), so they consume the shuffle input as-is regardless of map
-  // completion order. Only genuinely order-sensitive inputs still sort:
-  // LIMIT's single input and the JOIN probe (left) side — the build side
-  // instead gets canonical per-key match lists, which reproduces the same
-  // bytes as joining two fully sorted inputs.
-  Relation cur;
-  switch (blocking.kind) {
-    case OpKind::kGroup:
-    case OpKind::kDistinct:
-    case OpKind::kOrder: {
-      CBFT_CHECK(inputs_by_tag.size() == 1);
-      cur = dataflow::eval_op(blocking, std::move(inputs_by_tag));
-      break;
-    }
-    case OpKind::kLimit: {
-      CBFT_CHECK(inputs_by_tag.size() == 1);
-      Relation in(inputs_by_tag[0].schema(), inputs_by_tag[0].sorted_rows());
-      cur = dataflow::eval_limit(blocking, in);
-      break;
-    }
-    case OpKind::kJoin: {
-      CBFT_CHECK(inputs_by_tag.size() == 2);
-      Relation l(inputs_by_tag[0].schema(), inputs_by_tag[0].sorted_rows());
-      cur = dataflow::eval_join(blocking, l, inputs_by_tag[1],
-                                /*canonical_matches=*/true);
-      break;
-    }
-    case OpKind::kCogroup: {
-      CBFT_CHECK(inputs_by_tag.size() == 2);
-      cur = dataflow::eval_cogroup(blocking, inputs_by_tag[0],
-                                   inputs_by_tag[1]);
-      break;
-    }
-    default:
-      CBFT_CHECK_MSG(false, "not a blocking operator");
+  // A GROUP whose bags no verification point digests and whose consumer
+  // only aggregates them is folded per key, with no bags; the fold hands
+  // back the consumer's output, or nothing when a row breaks its guard.
+  // The bags of a marked GROUP are digested, so they are built and sorted.
+  std::optional<Relation> folded;
+  if (blocking.kind == OpKind::kGroup && !job.reduce_ops.empty() &&
+      !marked(job, blocking.id)) {
+    folded = dataflow::fold_group_aggregates(
+        blocking, plan.node(job.reduce_ops.front()), inputs_by_tag.front());
   }
-
-  digest_if_marked(job, blocking.id, /*reduce_side=*/true, 0, partition, cur,
-                   result.metrics, result.digests);
-
-  for (OpId op_id : job.reduce_ops) {
-    cur = dataflow::eval_op(plan.node(op_id), sole_input(cur));
-    digest_if_marked(job, op_id, /*reduce_side=*/true, 0, partition, cur,
+  auto op = job.reduce_ops.begin();
+  Relation cur;
+  if (folded) {
+    cur = std::move(*folded);
+    digest_if_marked(job, *op, /*reduce_side=*/true, 0, partition, cur,
+                     result.metrics, result.digests);
+    ++op;
+  } else {
+    cur = eval_blocking(blocking, std::move(inputs_by_tag));
+    digest_if_marked(job, blocking.id, /*reduce_side=*/true, 0, partition,
+                     cur, result.metrics, result.digests);
+  }
+  for (; op != job.reduce_ops.end(); ++op) {
+    cur = dataflow::eval_op(plan.node(*op), sole_input(cur));
+    digest_if_marked(job, *op, /*reduce_side=*/true, 0, partition, cur,
                      result.metrics, result.digests);
   }
 

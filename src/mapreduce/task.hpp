@@ -60,7 +60,10 @@ MapTaskResult run_map_task(const dataflow::LogicalPlan& plan,
 /// concatenated map outputs with branch tag `t` for this partition
 /// (size 1 for GROUP/DISTINCT/ORDER, 2 for JOIN). Taken by value like the
 /// map split: the execution tracker hands its shuffle partition over by
-/// move, and the blocking operator takes the rows from there.
+/// move, and the blocking operator takes the rows from there. A GROUP
+/// that no verification point digests, consumed by an aggregate-only
+/// FOREACH, is folded without bags (dataflow::fold_group_aggregates);
+/// outputs, digests and metrics are those of the bag path.
 ReduceTaskResult run_reduce_task(
     const dataflow::LogicalPlan& plan, const MRJobSpec& job,
     std::size_t partition, std::vector<dataflow::Relation> inputs_by_tag);

@@ -240,6 +240,58 @@ TEST(CrashRecoveryTest, RecoveryWithTwoInFlightSessionsIsBitIdentical) {
   }
 }
 
+TEST(CrashRecoveryTest, RequestRejectedBeforeCrashIsRejectedAgainOnRecovery) {
+  // A request refused at admission (its input is missing from the DFS)
+  // never reaches kScriptStart, so recover_all begins it afresh. It must
+  // come back kRejected — as the front end reports it — while the good
+  // session it was submitted beside recovers bit-identically.
+  const ClientRequest good = request();
+  const ClientRequest absent = baseline::cluster_bft(
+      workloads::weather_average_analysis("weather/absent"), "absent", 1, 2,
+      1);
+
+  World ref_world;
+  Journal ref_journal;
+  ClusterBft ref(ref_world.sim, ref_world.dfs, ref_world.seam->transport,
+                 ref_world.seam->programs, &ref_journal);
+  (void)ref.begin_session(good);
+  EXPECT_THROW((void)ref.begin_session(absent), InputError);
+  ref.drive_all();
+  const Outcome want{ref.collect_session(1), ref.audit_log().to_string()};
+  ASSERT_TRUE(want.result.verified);
+  const std::size_t records = ref_journal.size();
+  ASSERT_GT(records, 10u);
+
+  for (const std::size_t k : {std::size_t{0}, std::size_t{10}, records - 1}) {
+    SCOPED_TRACE("crash at journal record " + std::to_string(k));
+    World w;
+    Journal journal;
+    journal.set_crash_at(k);
+    ClusterBft crashed(w.sim, w.dfs, w.seam->transport, w.seam->programs,
+                       &journal);
+    try {
+      (void)crashed.begin_session(good);
+      EXPECT_THROW((void)crashed.begin_session(absent), InputError);
+      crashed.drive_all();
+      (void)crashed.collect_session(1);
+      FAIL() << "crash point never fired";
+    } catch (const ControllerCrashed&) {
+    }
+    ASSERT_TRUE(journal.crashed());
+
+    ClusterBft recovered(w.sim, w.dfs, w.seam->transport, w.seam->programs,
+                         &journal);
+    const std::vector<ScriptResult> got =
+        recovered.recover_all({good, absent});
+    ASSERT_EQ(got.size(), 2u);
+    expect_equal({got[0], recovered.audit_log().to_string()}, want);
+    EXPECT_FALSE(got[1].verified);
+    EXPECT_EQ(got[1].failure, FailureReason::kRejected);
+    EXPECT_TRUE(got[1].outputs.empty());
+    EXPECT_FALSE(journal.recovery_pending());
+  }
+}
+
 TEST(CrashRecoveryTest, AdaptiveCheckpointRecoveryIsBitIdentical) {
   // Adaptive knobs on: f+1-first chains (the commission fault forces a
   // journaled kEscalation), and the cost model checkpoints the mid-chain

@@ -122,8 +122,10 @@ std::string key_bytes(const Tuple& t, const std::vector<std::size_t>& keys) {
   return out;
 }
 
-/// Every bag must be byte-for-byte the full-tuple std::sort of its rows in
-/// input order, whichever columns the bag sort may skip as keys.
+/// Every bag must be byte-for-byte the full-tuple canonical_order sort of
+/// its rows, whichever columns the bag sort may skip as keys. (The rows mix
+/// longs and doubles of equal value, which `<=>` alone leaves in input
+/// order.)
 void expect_full_tuple_sorted_bags(const Relation& in,
                                    const std::vector<std::size_t>& keys,
                                    const Relation& out, std::size_t bag_col) {
@@ -131,7 +133,9 @@ void expect_full_tuple_sorted_bags(const Relation& in,
   for (const Tuple& t : in.rows()) expected[key_bytes(t, keys)].push_back(t);
   for (auto& [key, rows] : expected) {
     std::sort(rows.begin(), rows.end(),
-              [](const Tuple& a, const Tuple& b) { return (a <=> b) < 0; });
+              [](const Tuple& a, const Tuple& b) {
+                return canonical_order(a, b) < 0;
+              });
   }
   std::size_t bags = 0;
   for (const Tuple& o : out.rows()) {
