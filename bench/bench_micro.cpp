@@ -167,11 +167,11 @@ void BM_ShufflePartition(benchmark::State& state) {
     tuples.push_back(dataflow::Tuple(
         {dataflow::Value(static_cast<std::int64_t>(rng.next_below(100)))}));
   }
-  std::string key_buf;
+  mapreduce::RowBytes row_buf;
   for (auto _ : state) {
     std::size_t acc = 0;
     for (const auto& t : tuples) {
-      acc += mapreduce::shuffle_partition(group, 0, t, 8, key_buf);
+      acc += mapreduce::shuffle_partition(group, 0, t, 8, row_buf);
     }
     benchmark::DoNotOptimize(acc);
   }

@@ -12,12 +12,16 @@ void ChunkedDigester::add_record(std::string_view serialized) {
   // Length-prefix each record so the framing is unambiguous (otherwise
   // "ab"+"c" and "a"+"bc" would hash identically).
   const std::uint64_t len = serialized.size();
-  std::uint8_t len_bytes[8];
+  char len_bytes[8];
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(len >> (56 - 8 * i));
+    len_bytes[i] = static_cast<char>(len >> (56 - 8 * i));
   }
-  hasher_.update(len_bytes, 8);
-  hasher_.update(serialized);
+  stage_.append(len_bytes, 8);
+  stage_.append(serialized);
+  if (stage_.size() >= kStageBytes) {
+    hasher_.update(stage_);
+    stage_.clear();
+  }
   ++records_seen_;
   ++records_in_chunk_;
   if (records_per_digest_ > 0 && records_in_chunk_ == records_per_digest_) {
@@ -29,6 +33,8 @@ void ChunkedDigester::close_chunk() {
   ChunkDigest cd;
   cd.chunk_index = chunk_index_++;
   cd.record_count = records_in_chunk_;
+  hasher_.update(stage_);
+  stage_.clear();
   cd.digest = Digest256{hasher_.finalize()};
   out_.push_back(cd);
   hasher_ = Sha256();

@@ -1,7 +1,9 @@
 #include "dataflow/ops_eval.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -102,82 +104,153 @@ std::vector<std::size_t> non_key_columns(
   return cols;
 }
 
-/// Sorts bags into canonical full-tuple order. Every row of a bag has
+/// Sorts a bag into canonical full-tuple order. Every row of a bag has
 /// byte-identical key columns — that is how it got into the bag — so
 /// comparing them could only return `equal`; comparing the remaining
 /// columns `cols` (ascending), then the arity, then canonical_tiebreak
 /// over `cols` yields exactly canonical_order with fewer comparisons.
-///
-/// The kernel: when one column is compared and every row has the same
-/// arity and a long there (a GROUP BY key plus one value, like the Fig. 9
-/// follower bags), it sorts (long, row index) pairs and permutes the rows
-/// once in place, instead of calling the out-of-line Value comparison
-/// O(n log n) times. Rows that tie on the long are byte-identical (their
-/// key columns are too), so the result equals the generic sort's. One
-/// sorter serves every bag of a GROUP/COGROUP, so the pair buffer is
-/// allocated once, not per bag.
-class BagSorter {
- public:
-  explicit BagSorter(std::vector<std::size_t> cols) : cols_(std::move(cols)) {}
+void sort_bag(std::vector<Tuple>& rows, const std::vector<std::size_t>& cols) {
+  std::sort(rows.begin(), rows.end(), [&cols](const Tuple& a, const Tuple& b) {
+    const std::size_t n = std::min(a.size(), b.size());
+    for (const std::size_t c : cols) {
+      if (c >= n) break;
+      const auto o = a.fields[c] <=> b.fields[c];
+      if (o != std::strong_ordering::equal) return o < 0;
+    }
+    if (a.size() != b.size()) return a.size() < b.size();
+    for (const std::size_t c : cols) {
+      if (c >= n) break;
+      const auto o = canonical_tiebreak(a.fields[c], b.fields[c]);
+      if (o != std::strong_ordering::equal) return o < 0;
+    }
+    return false;
+  });
+}
 
-  void sort(std::vector<Tuple>& rows) {
-    if (rows.size() < 2 || sort_longs(rows)) return;
-    std::sort(rows.begin(), rows.end(), [this](const Tuple& a, const Tuple& b) {
-      const std::size_t n = std::min(a.size(), b.size());
-      for (const std::size_t c : cols_) {
-        if (c >= n) break;
-        const auto o = a.fields[c] <=> b.fields[c];
-        if (o != std::strong_ordering::equal) return o < 0;
-      }
-      if (a.size() != b.size()) return a.size() < b.size();
-      for (const std::size_t c : cols_) {
-        if (c >= n) break;
-        const auto o = canonical_tiebreak(a.fields[c], b.fields[c]);
-        if (o != std::strong_ordering::equal) return o < 0;
-      }
-      return false;
-    });
+/// Dense ids for int64 keys, in first-occurrence order: open addressing
+/// with linear probing, slots found by Fibonacci hashing of the key. No
+/// pointers or seeds, so the ids are the same on every replica.
+class LongIndex {
+ public:
+  explicit LongIndex(std::size_t expected_keys) {
+    std::size_t cap = 16;
+    while (cap < 2 * expected_keys) cap *= 2;
+    resize(cap);
   }
+
+  /// Id of `key`, inserting it on first sight (a fresh id is size()).
+  std::uint32_t intern(std::int64_t key) {
+    for (std::size_t s = slot(key);; s = (s + 1) & mask_) {
+      const std::uint32_t e = slots_[s];
+      if (e == 0) {
+        keys_.push_back(key);
+        slots_[s] = static_cast<std::uint32_t>(keys_.size());
+        if (2 * keys_.size() > slots_.size()) resize(2 * slots_.size());
+        return static_cast<std::uint32_t>(keys_.size() - 1);
+      }
+      if (keys_[e - 1] == key) return e - 1;
+    }
+  }
+
+  std::size_t size() const { return keys_.size(); }
+  std::int64_t key(std::uint32_t id) const { return keys_[id]; }
 
  private:
-  /// The kernel; false, leaving `rows` alone, when a row does not qualify.
-  bool sort_longs(std::vector<Tuple>& rows) {
-    if (cols_.size() != 1) return false;
-    const std::size_t c = cols_.front();
-    const std::size_t n = rows.size();
-    const std::size_t arity = rows.front().size();
-    keyed_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t* x =
-          rows[i].size() == arity && c < arity ? rows[i].fields[c].if_long()
-                                               : nullptr;
-      if (x == nullptr) return false;
-      keyed_.emplace_back(*x, i);
-    }
-    std::sort(keyed_.begin(), keyed_.end());
-    // rows[j] := old rows[keyed_[j].second], cycle by cycle; a placed
-    // slot is marked keyed_[j].second == j.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (keyed_[i].second == i) continue;
-      Tuple held = std::move(rows[i]);
-      std::size_t j = i;
-      for (;;) {
-        const std::size_t from = keyed_[j].second;
-        keyed_[j].second = j;
-        if (from == i) {
-          rows[j] = std::move(held);
-          break;
-        }
-        rows[j] = std::move(rows[from]);
-        j = from;
-      }
-    }
-    return true;
+  std::size_t slot(std::int64_t key) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
-  std::vector<std::size_t> cols_;
-  std::vector<std::pair<std::int64_t, std::size_t>> keyed_;
+  void resize(std::size_t cap) {
+    slots_.assign(cap, 0);
+    mask_ = cap - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
+    for (std::size_t id = 0; id < keys_.size(); ++id) {
+      std::size_t s = slot(keys_[id]);
+      while (slots_[s] != 0) s = (s + 1) & mask_;
+      slots_[s] = static_cast<std::uint32_t>(id + 1);
+    }
+  }
+
+  std::vector<std::int64_t> keys_;   ///< by id
+  std::vector<std::uint32_t> slots_; ///< id + 1; 0 = empty
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
 };
+
+/// The packed GROUP: one key column and one non-key column, every row of
+/// arity 2 with a long in both (the Fig. 9 follower shape). Four steps,
+/// none of which serialises a key or compares two Values:
+/// 1. one sequential pass interns each row's key as an int64 and records
+///    its bag id and its value;
+/// 2. the distinct keys are sorted, which fixes each bag's run of slots;
+/// 3. the (value, row) pairs are placed into their bag's run and each run
+///    is sorted by value — rows that tie on it are byte-identical, so
+///    their order cannot show;
+/// 4. one gather moves the rows into their bags.
+/// Returns nullopt, leaving `rows` untouched, as soon as a row does not
+/// qualify; the caller then groups generically.
+std::optional<Relation> group_packed_longs(const OpNode& op,
+                                           std::vector<Tuple>& rows) {
+  if (op.group_keys.size() != 1 || op.group_keys[0] > 1 ||
+      rows.size() >= std::numeric_limits<std::uint32_t>::max()) {
+    return std::nullopt;
+  }
+  const std::size_t kc = op.group_keys[0];
+  const std::size_t vc = 1 - kc;
+  const std::size_t n = rows.size();
+  LongIndex idx(n / 4 + 1);
+  std::vector<std::uint32_t> bag_of(n);
+  std::vector<std::int64_t> value_of(n);
+  std::vector<std::uint32_t> sizes;
+  for (std::size_t r = 0; r < n; ++r) {
+    const Tuple& t = rows[r];
+    if (t.size() != 2) return std::nullopt;
+    const std::int64_t* k = t.fields[kc].if_long();
+    const std::int64_t* v = t.fields[vc].if_long();
+    if (k == nullptr || v == nullptr) return std::nullopt;
+    const std::uint32_t id = idx.intern(*k);
+    if (id == sizes.size()) sizes.push_back(0);
+    ++sizes[id];
+    bag_of[r] = id;
+    value_of[r] = *v;
+  }
+  std::vector<std::pair<std::int64_t, std::uint32_t>> keys;
+  keys.reserve(idx.size());
+  for (std::uint32_t id = 0; id < idx.size(); ++id) {
+    keys.emplace_back(idx.key(id), id);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::uint32_t> next(idx.size());  // per bag: its next free slot
+  std::uint32_t offset = 0;
+  for (const auto& [key, id] : keys) {
+    next[id] = offset;
+    offset += sizes[id];
+  }
+  std::vector<std::pair<std::int64_t, std::uint32_t>> placed(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    placed[next[bag_of[r]]++] = {value_of[r], static_cast<std::uint32_t>(r)};
+  }
+  Relation out(op.schema);
+  out.reserve(keys.size());
+  auto run = placed.begin();
+  for (const auto& [key, id] : keys) {
+    const auto end = run + sizes[id];
+    std::sort(run, end, [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    std::vector<Tuple> bag;
+    bag.reserve(sizes[id]);
+    for (; run != end; ++run) bag.push_back(std::move(rows[run->second]));
+    Tuple o;
+    o.fields.reserve(2);
+    o.fields.push_back(Value(key));
+    o.fields.push_back(
+        Value(std::make_shared<const std::vector<Tuple>>(std::move(bag))));
+    out.add(std::move(o));
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -190,6 +263,7 @@ Relation eval_group(const OpNode& op, Relation in) {
   // The rows are owned, so each moves into its bag, sized up front from
   // a first pass that interns every row's key.
   std::vector<Tuple>& rows = in.rows();
+  if (auto packed = group_packed_longs(op, rows)) return std::move(*packed);
   KeyIndex idx(rows.size() / 4 + 1);
   std::vector<std::size_t> bag_of(rows.size());
   std::vector<std::size_t> sizes;
@@ -208,17 +282,17 @@ Relation eval_group(const OpNode& op, Relation in) {
   for (std::size_t r = 0; r < rows.size(); ++r) {
     bags[bag_of[r]].push_back(std::move(rows[r]));
   }
-  // Any row of a bag carries its key (see BagSorter).
+  // Any row of a bag carries its key (see sort_bag).
   const auto order = key_sorted_ids(idx.size(), [&](std::size_t id) {
     return extract_key(bags[id].front(), op.group_keys);
   });
-  BagSorter sorter(non_key_columns(width, op.group_keys));
+  const std::vector<std::size_t> cols = non_key_columns(width, op.group_keys);
   Relation out(op.schema);
   out.reserve(order.size());
   for (const std::size_t id : order) {
     Tuple o;
     o.fields.push_back(extract_key(bags[id].front(), op.group_keys));
-    sorter.sort(bags[id]);
+    sort_bag(bags[id], cols);
     o.fields.push_back(Value(
         std::make_shared<const std::vector<Tuple>>(std::move(bags[id]))));
     out.add(std::move(o));
@@ -422,15 +496,17 @@ Relation eval_cogroup(const OpNode& op, const Relation& left,
     }
     return non_key_columns(width, key_cols);
   };
-  BagSorter left_sorter(absorb(left, op.left_keys, /*is_left=*/true));
-  BagSorter right_sorter(absorb(right, op.right_keys, /*is_left=*/false));
+  const std::vector<std::size_t> left_cols =
+      absorb(left, op.left_keys, /*is_left=*/true);
+  const std::vector<std::size_t> right_cols =
+      absorb(right, op.right_keys, /*is_left=*/false);
   const auto order = key_sorted_ids(
       idx.size(), [&](std::size_t id) { return keys[id]; });
   Relation out(op.schema);
   out.reserve(order.size());
   for (const std::size_t id : order) {
-    left_sorter.sort(bags[id].first);
-    right_sorter.sort(bags[id].second);
+    sort_bag(bags[id].first, left_cols);
+    sort_bag(bags[id].second, right_cols);
     Tuple o;
     o.fields.push_back(std::move(keys[id]));
     o.fields.push_back(Value(std::make_shared<const std::vector<Tuple>>(
@@ -457,8 +533,16 @@ Relation eval_union(const OpNode& op,
 }
 
 Relation eval_distinct(const OpNode& op, const Relation& in) {
+  // Only byte-identical rows collapse: the shuffle routes DISTINCT rows by
+  // their canonical bytes, so rows `==` equates but that serialise
+  // differently (long 1, double 1.0) may reach different reducers, and
+  // collapsing them here would make the result depend on the partitioning.
   std::vector<Tuple> rows = in.sorted_rows();
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end(),
+                         [](const Tuple& a, const Tuple& b) {
+                           return canonical_order(a, b) == 0;
+                         }),
+             rows.end());
   return Relation(op.schema, std::move(rows));
 }
 

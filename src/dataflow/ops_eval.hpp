@@ -30,12 +30,15 @@ Relation eval_foreach(const OpNode& op, const Relation& in);
 /// — the determinism fix §5.4 defers to future work, implemented here).
 ///
 /// GROUP pays for its bags in one of three ways:
-/// - *sorted by the kernel*: a bag with one non-key column whose rows have
-///   one arity and a long there (the Fig. 9 follower bags) sorts (long,
-///   index) pairs, then permutes its rows once;
-/// - *sorted generically*: any other bag (nulls, doubles, strings, mixed
-///   arity, several non-key columns) sorts with the Value comparator and
-///   canonical_tiebreak;
+/// - *packed*: when every row is two longs, one the key (the Fig. 9
+///   follower shape), keys are interned as int64s, and each bag's
+///   (value, row) pairs are sorted in a contiguous run before one gather
+///   moves the rows: no key serialisation, no Value comparison;
+/// - *generic*: any other input (nulls, doubles, strings, other arities,
+///   several key or non-key columns) interns canonical key bytes and
+///   sorts each bag with the Value comparator and canonical_tiebreak. The
+///   first row that does not qualify for the packed path sends the whole
+///   GROUP here;
 /// - *folded*: fold_group_aggregates below builds no bag at all. The
 ///   reduce task uses it where no verification point digests the bags.
 Relation eval_group(const OpNode& op, Relation in);
@@ -73,6 +76,9 @@ Relation eval_cogroup(const OpNode& op, const Relation& left,
                       const Relation& right);
 
 Relation eval_union(const OpNode& op, const std::vector<const Relation*>& ins);
+/// DISTINCT: rows in canonical order, collapsing only byte-identical rows
+/// (not rows `==` equates, such as long 1 and double 1.0, which the
+/// shuffle may route to different reducers).
 Relation eval_distinct(const OpNode& op, const Relation& in);
 Relation eval_order(const OpNode& op, Relation in);
 Relation eval_limit(const OpNode& op, const Relation& in);

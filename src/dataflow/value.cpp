@@ -325,30 +325,10 @@ void serialize_tuple_into(const Tuple& t, std::string& out) {
   for (const Value& v : t.fields) v.serialize(out);
 }
 
-namespace {
-
-// FNV-1a, 64-bit.
-std::uint64_t fnv1a(const std::string& buf) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : buf) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t tuple_key_hash(const Tuple& t, std::size_t num_fields) {
-  std::string buf;
-  return tuple_key_hash(t, num_fields, buf);
-}
-
-std::uint64_t tuple_key_hash(const Tuple& t, std::size_t num_fields,
-                             std::string& buf) {
   const std::size_t n =
       (num_fields == 0) ? t.size() : std::min(num_fields, t.size());
-  buf.clear();
+  std::string buf;
   for (std::size_t i = 0; i < n; ++i) t.at(i).serialize(buf);
   return fnv1a(buf);
 }

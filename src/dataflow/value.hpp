@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -135,21 +136,29 @@ std::string serialize_tuple(const Tuple& t);
 /// fresh std::string per tuple.
 void serialize_tuple_into(const Tuple& t, std::string& out);
 
-/// Deterministic (FNV-1a over canonical serialisation) hash of a tuple
-/// prefix — used for shuffle partitioning, so it must be identical across
-/// replicas and platforms. `num_fields == 0` hashes the whole tuple.
-std::uint64_t tuple_key_hash(const Tuple& t, std::size_t num_fields);
+/// FNV-1a (64-bit) folded over `bytes`, continuing from `h`: folding two
+/// spans in turn equals folding their concatenation, so a hash over key
+/// fields can be taken from a row's canonical bytes span by span.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+inline std::uint64_t fnv1a(std::string_view bytes,
+                           std::uint64_t h = kFnv1aBasis) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
-/// Buffer-reusing variant for the shuffle hot path: `buf` is cleared and
-/// holds the canonical key serialisation on return, so callers that also
-/// need the bytes (e.g. KeyIndex interning) pay one serialisation, and no
-/// per-tuple allocation once `buf` has warmed up.
-std::uint64_t tuple_key_hash(const Tuple& t, std::size_t num_fields,
-                             std::string& buf);
+/// Deterministic (FNV-1a over canonical serialisation) hash of a tuple
+/// prefix, identical across replicas and platforms. `num_fields == 0`
+/// hashes the whole tuple, which is how the shuffle partitions DISTINCT.
+std::uint64_t tuple_key_hash(const Tuple& t, std::size_t num_fields);
 
 /// Hash of an explicit key-column set (GROUP/JOIN/COGROUP keys), byte- and
 /// hash-identical to building the key tuple and hashing it whole — but
-/// without materialising the key tuple. `buf` as above.
+/// without materialising the key tuple. `buf` is cleared and holds the
+/// key's canonical bytes on return, so a caller that also needs them
+/// (KeyIndex interning) pays one serialisation.
 std::uint64_t tuple_cols_hash(const Tuple& t,
                               const std::vector<std::size_t>& cols,
                               std::string& buf);

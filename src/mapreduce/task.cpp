@@ -21,6 +21,31 @@ using dataflow::Tuple;
 
 namespace {
 
+/// The verification point the job puts on `vertex`, if any (at most one
+/// per vertex per job).
+const VerificationPoint* point_on(const MRJobSpec& job, OpId vertex) {
+  for (const VerificationPoint& vp : job.vps) {
+    if (vp.vertex == vertex) return &vp;
+  }
+  return nullptr;
+}
+
+/// Append `digester`'s chunk digests of `vertex`'s stream as reports keyed
+/// for this task.
+void report_digests(const MRJobSpec& job, OpId vertex, bool reduce_side,
+                    std::size_t branch, std::size_t partition,
+                    crypto::ChunkedDigester& digester,
+                    std::vector<DigestReport>& out) {
+  for (const crypto::ChunkDigest& cd : digester.finish()) {
+    DigestReport r;
+    r.key = DigestKey{job.sid, vertex, reduce_side, branch, partition,
+                      cd.chunk_index};
+    r.digest = cd.digest;
+    r.record_count = cd.record_count;
+    out.push_back(std::move(r));
+  }
+}
+
 /// Digest the stream produced by `vertex` if the job marks it, appending
 /// reports keyed for this task. The serialisation that feeds the digest
 /// also counts the stream's canonical bytes, which are recorded on it.
@@ -28,28 +53,19 @@ void digest_if_marked(const MRJobSpec& job, OpId vertex, bool reduce_side,
                       std::size_t branch, std::size_t partition,
                       Relation& stream, TaskMetrics& metrics,
                       std::vector<DigestReport>& out) {
-  for (const VerificationPoint& vp : job.vps) {
-    if (vp.vertex != vertex) continue;
-    crypto::ChunkedDigester digester(vp.records_per_digest);
-    std::string bytes;  // one buffer for the whole stream, not one per tuple
-    std::uint64_t total = 0;
-    for (const Tuple& t : stream.rows()) {
-      dataflow::serialize_tuple_into(t, bytes);
-      total += bytes.size();
-      digester.add_record(bytes);
-    }
-    metrics.digested_bytes += total;
-    stream.set_byte_size(total);
-    for (const crypto::ChunkDigest& cd : digester.finish()) {
-      DigestReport r;
-      r.key = DigestKey{job.sid, vertex, reduce_side, branch, partition,
-                        cd.chunk_index};
-      r.digest = cd.digest;
-      r.record_count = cd.record_count;
-      out.push_back(std::move(r));
-    }
-    break;  // at most one VP per vertex per job
+  const VerificationPoint* vp = point_on(job, vertex);
+  if (vp == nullptr) return;
+  crypto::ChunkedDigester digester(vp->records_per_digest);
+  std::string bytes;  // one buffer for the whole stream, not one per tuple
+  std::uint64_t total = 0;
+  for (const Tuple& t : stream.rows()) {
+    dataflow::serialize_tuple_into(t, bytes);
+    total += bytes.size();
+    digester.add_record(bytes);
   }
+  metrics.digested_bytes += total;
+  stream.set_byte_size(total);
+  report_digests(job, vertex, reduce_side, branch, partition, digester, out);
 }
 
 /// `rel` as the sole input of an operator, which may take its rows.
@@ -57,13 +73,6 @@ std::vector<Relation> sole_input(Relation& rel) {
   std::vector<Relation> ins;
   ins.push_back(std::move(rel));
   return ins;
-}
-
-bool marked(const MRJobSpec& job, OpId vertex) {
-  return std::any_of(job.vps.begin(), job.vps.end(),
-                     [vertex](const VerificationPoint& vp) {
-                       return vp.vertex == vertex;
-                     });
 }
 
 /// The blocking operator over this partition's shuffle input.
@@ -107,9 +116,18 @@ Relation eval_blocking(const OpNode& blocking,
 
 }  // namespace
 
+void RowBytes::assign(const Tuple& t) {
+  bytes.clear();
+  starts.clear();
+  for (const dataflow::Value& v : t.fields) {
+    starts.push_back(bytes.size());
+    v.serialize(bytes);
+  }
+  starts.push_back(bytes.size());
+}
+
 std::size_t shuffle_partition(const OpNode& blocking_op, int tag,
-                              const Tuple& t, std::size_t num_reducers,
-                              std::string& key_buf) {
+                              const RowBytes& row, std::size_t num_reducers) {
   CBFT_CHECK(num_reducers > 0);
   if (num_reducers == 1) return 0;
   const std::vector<std::size_t>* key_cols = nullptr;
@@ -122,22 +140,32 @@ std::size_t shuffle_partition(const OpNode& blocking_op, int tag,
       key_cols = (tag == 0) ? &blocking_op.left_keys
                             : &blocking_op.right_keys;
       break;
-    case OpKind::kDistinct: {
+    case OpKind::kDistinct:
       // Whole tuple is the key.
-      return static_cast<std::size_t>(
-          dataflow::tuple_key_hash(t, 0, key_buf) % num_reducers);
-    }
+      return static_cast<std::size_t>(dataflow::fnv1a(row.bytes) %
+                                      num_reducers);
     case OpKind::kOrder:
     case OpKind::kLimit:
       return 0;  // global operators use a single reducer
     default:
       CBFT_CHECK_MSG(false, "not a blocking operator");
   }
-  // Hashing the key columns' serialisations directly produces the same
-  // bytes (and thus the same partition) as building a key tuple first:
-  // the key tuple's serialisation is exactly that concatenation.
-  return static_cast<std::size_t>(
-      dataflow::tuple_cols_hash(t, *key_cols, key_buf) % num_reducers);
+  // Folding the key columns' spans in key order hashes exactly the bytes
+  // of the key tuple's serialisation (tuple_cols_hash), without
+  // serialising the key again.
+  std::uint64_t h = dataflow::kFnv1aBasis;
+  for (const std::size_t c : *key_cols) {
+    CBFT_CHECK_MSG(c < row.fields(), "tuple field index out of range");
+    h = dataflow::fnv1a(row.field(c), h);
+  }
+  return static_cast<std::size_t>(h % num_reducers);
+}
+
+std::size_t shuffle_partition(const OpNode& blocking_op, int tag,
+                              const Tuple& t, std::size_t num_reducers,
+                              RowBytes& buf) {
+  buf.assign(t);
+  return shuffle_partition(blocking_op, tag, buf, num_reducers);
 }
 
 MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
@@ -150,10 +178,18 @@ MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
   result.metrics.input_bytes = split_rows.byte_size();  // known from the DFS
   result.metrics.records_in = split_rows.size();
 
-  Relation cur = std::move(split_rows);
-  digest_if_marked(job, br.source_vertex, /*reduce_side=*/false, branch,
-                   split_index, cur, result.metrics, result.digests);
+  // A shuffle job's last map vertex is digested by the partition loop
+  // below, in the same pass that partitions and counts its rows.
+  const OpId tail = br.map_ops.empty() ? br.source_vertex : br.map_ops.back();
+  const auto digest = [&](OpId vertex, Relation& stream) {
+    if (job.map_only() || vertex != tail) {
+      digest_if_marked(job, vertex, /*reduce_side=*/false, branch,
+                       split_index, stream, result.metrics, result.digests);
+    }
+  };
 
+  Relation cur = std::move(split_rows);
+  digest(br.source_vertex, cur);
   for (OpId op_id : br.map_ops) {
     const OpNode& op = plan.node(op_id);
     if (op.kind == OpKind::kUnion) {
@@ -162,8 +198,7 @@ MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
     } else {
       cur = dataflow::eval_op(op, sole_input(cur));
     }
-    digest_if_marked(job, op_id, /*reduce_side=*/false, branch, split_index,
-                     cur, result.metrics, result.digests);
+    digest(op_id, cur);
   }
 
   result.metrics.records_out = cur.size();
@@ -174,25 +209,35 @@ MapTaskResult run_map_task(const LogicalPlan& plan, const MRJobSpec& job,
     return result;
   }
 
+  // One serialisation per output row feeds the tail's digest (when a
+  // point marks it), the partition hash and the partition's byte count;
+  // the counts travel with the partitions to the reduce side.
   const OpNode& blocking = plan.node(*job.blocking);
   result.partitions.assign(job.num_reducers, Relation(cur.schema()));
   for (Relation& p : result.partitions) {
     p.reserve(cur.size() / job.num_reducers + 1);
   }
-  // Each row is serialised once more here, to count its partition's
-  // bytes; the counts travel with the partitions to the reduce side.
+  const VerificationPoint* vp = point_on(job, tail);
+  std::optional<crypto::ChunkedDigester> digester;
+  if (vp != nullptr) digester.emplace(vp->records_per_digest);
   std::vector<std::uint64_t> part_bytes(job.num_reducers, 0);
-  std::string key_buf, row_buf;  // reused for the whole split
+  RowBytes row;  // reused for the whole split
   for (Tuple& t : cur.rows()) {
+    row.assign(t);
+    if (digester) digester->add_record(row.bytes);
     const std::size_t p =
-        shuffle_partition(blocking, br.tag, t, job.num_reducers, key_buf);
-    dataflow::serialize_tuple_into(t, row_buf);
-    part_bytes[p] += row_buf.size();
+        shuffle_partition(blocking, br.tag, row, job.num_reducers);
+    part_bytes[p] += row.bytes.size();
     result.partitions[p].add(std::move(t));
   }
   for (std::size_t p = 0; p < job.num_reducers; ++p) {
     result.partitions[p].set_byte_size(part_bytes[p]);
     result.metrics.output_bytes += part_bytes[p];
+  }
+  if (digester) {
+    result.metrics.digested_bytes += result.metrics.output_bytes;
+    report_digests(job, tail, /*reduce_side=*/false, branch, split_index,
+                   *digester, result.digests);
   }
   return result;
 }
@@ -215,7 +260,7 @@ ReduceTaskResult run_reduce_task(const LogicalPlan& plan, const MRJobSpec& job,
   // The bags of a marked GROUP are digested, so they are built and sorted.
   std::optional<Relation> folded;
   if (blocking.kind == OpKind::kGroup && !job.reduce_ops.empty() &&
-      !marked(job, blocking.id)) {
+      point_on(job, blocking.id) == nullptr) {
     folded = dataflow::fold_group_aggregates(
         blocking, plan.node(job.reduce_ops.front()), inputs_by_tag.front());
   }

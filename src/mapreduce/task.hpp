@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataflow/plan.hpp"
@@ -50,7 +51,10 @@ struct ReduceTaskResult {
 /// Run map task (`branch`, input split `split_rows`) of `job`. The split
 /// is taken by value so callers handing over a freshly read split (the
 /// common case: `dfs.read_split(...)` rvalues) move it in instead of
-/// paying a second deep copy inside the task.
+/// paying a second deep copy inside the task. In a shuffle job each row of
+/// the last map vertex is serialised once (RowBytes), and those bytes feed
+/// that vertex's digest when a point marks it, the partition hash and the
+/// partition's byte count.
 MapTaskResult run_map_task(const dataflow::LogicalPlan& plan,
                            const MRJobSpec& job, std::size_t branch,
                            std::size_t split_index,
@@ -107,11 +111,35 @@ class JobAssembler {
   std::vector<dataflow::Relation> slices_;
 };
 
-/// Reduce partition a tuple belongs to, given the job's blocking operator.
-/// Deterministic across replicas and platforms. `key_buf` holds the key
-/// serialisation; the map-side shuffle loop reuses one buffer per split.
+/// One row's canonical bytes with the offset at which each field's bytes
+/// start: field i spans [starts[i], starts[i + 1]), and starts.back() is
+/// bytes.size(). The map side's shuffle loop serialises each output row
+/// into one of these once, and reads its digest record, its partition
+/// key and its byte count from it.
+struct RowBytes {
+  std::string bytes;
+  std::vector<std::size_t> starts;
+
+  /// Clear, then serialise `t` (serialize_tuple_into's bytes).
+  void assign(const dataflow::Tuple& t);
+  std::size_t fields() const { return starts.size() - 1; }
+  std::string_view field(std::size_t i) const {
+    return std::string_view(bytes).substr(starts[i],
+                                          starts[i + 1] - starts[i]);
+  }
+};
+
+/// Reduce partition of a row, given the job's blocking operator and the
+/// row's canonical bytes: FNV-1a over the key columns' bytes in key-column
+/// order (GROUP keys; JOIN/COGROUP keys of branch `tag`), over the whole
+/// row for DISTINCT, and 0 for the global operators ORDER and LIMIT.
+/// Deterministic across replicas and platforms. The one partition
+/// function: run_map_task calls it on the bytes it also digests and
+/// counts, and the Tuple overload serialises into `buf` first.
+std::size_t shuffle_partition(const dataflow::OpNode& blocking_op, int tag,
+                              const RowBytes& row, std::size_t num_reducers);
 std::size_t shuffle_partition(const dataflow::OpNode& blocking_op, int tag,
                               const dataflow::Tuple& t,
-                              std::size_t num_reducers, std::string& key_buf);
+                              std::size_t num_reducers, RowBytes& buf);
 
 }  // namespace clusterbft::mapreduce

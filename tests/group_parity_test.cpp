@@ -6,10 +6,10 @@
 //   eval_foreach(eval_group(...)): on random tables and random scripts,
 //   and on mixed-type, null-heavy and wide rows where its guard must fall
 //   back to the bag path.
-// - The all-long bag-sort kernel against the canonical full-tuple sort:
-//   duplicate keys, negative and extreme longs; and the generic sort on
-//   the same rows made wider, of mixed arity, or holding a null or a
-//   double.
+// - The packed GROUP (two long columns) against the canonical full-tuple
+//   sort: duplicate keys, negative and extreme longs; and the generic
+//   path on the same rows made wider, of mixed arity, or holding a null
+//   or a double.
 // - run_reduce_task: a GROUP carrying a verification point reports the
 //   bag path's digests; without one, the consumer's digests are unchanged.
 // - canonical_order: values `<=>` equates but that serialise differently
@@ -264,8 +264,8 @@ TEST(GroupParityTest, BagSortKernelMatchesTheCanonicalSort) {
     Rng rng(seed);
     for (const std::size_t width : {2u, 4u}) {
       SCOPED_TRACE("width " + std::to_string(width));
-      // All-long bags of one arity: the kernel at width 2, the generic
-      // sort at width 4. Few distinct values, so bags hold many duplicate
+      // All-long rows of one arity: the packed GROUP at width 2, the
+      // generic path at width 4. Few distinct values, so bags hold many duplicate
       // rows.
       Relation longs(Schema{});
       for (std::size_t i = 0; i < 400; ++i) {

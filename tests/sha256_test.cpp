@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -134,6 +136,75 @@ TEST(ChunkedDigesterTest, DeterministicAcrossInstances) {
     return d.finish();
   };
   EXPECT_EQ(run(), run());
+}
+
+/// The digests of `records` framed as ChunkedDigester frames them, but fed
+/// to SHA-256 with two updates per record (the length, then the bytes)
+/// and no staging.
+std::vector<ChunkDigest> two_update_digests(
+    const std::vector<std::string>& records, std::uint64_t per_digest) {
+  std::vector<ChunkDigest> out;
+  Sha256 h;
+  std::uint64_t in_chunk = 0;
+  const auto close = [&] {
+    ChunkDigest cd;
+    cd.chunk_index = out.size();
+    cd.record_count = in_chunk;
+    cd.digest = Digest256{h.finalize()};
+    out.push_back(cd);
+    h = Sha256();
+    in_chunk = 0;
+  };
+  for (const std::string& r : records) {
+    std::uint8_t len[8];
+    for (int i = 0; i < 8; ++i) {
+      len[i] = static_cast<std::uint8_t>(std::uint64_t{r.size()} >> (56 - 8 * i));
+    }
+    h.update(len, 8);
+    h.update(r);
+    if (++in_chunk == per_digest) close();
+  }
+  if (in_chunk > 0 || out.empty()) close();
+  return out;
+}
+
+std::vector<ChunkDigest> staged_digests(const std::vector<std::string>& records,
+                                        std::uint64_t per_digest) {
+  ChunkedDigester d(per_digest);
+  for (const std::string& r : records) d.add_record(r);
+  return d.finish();
+}
+
+TEST(ChunkedDigesterTest, StagedDigestsEqualTwoUpdatesPerRecord) {
+  const std::vector<std::size_t> sizes = {0, 1, 63, 64, 65, 4095, 4096, 10000};
+  const auto record = [](std::size_t size, std::size_t salt) {
+    std::string r(size, '\0');
+    for (std::size_t i = 0; i < size; ++i) {
+      r[i] = static_cast<char>((i * 131 + salt * 17) & 0xff);
+    }
+    return r;
+  };
+  for (const std::uint64_t d : {0u, 1u, 7u}) {
+    // Streams of one record size, long enough to cross the stage's
+    // flush threshold at shifting offsets.
+    for (const std::size_t size : sizes) {
+      for (const std::size_t count : {1u, 2u, 9u, 40u}) {
+        SCOPED_TRACE("d " + std::to_string(d) + " size " +
+                     std::to_string(size) + " count " + std::to_string(count));
+        std::vector<std::string> records;
+        for (std::size_t i = 0; i < count; ++i) records.push_back(record(size, i));
+        EXPECT_EQ(staged_digests(records, d), two_update_digests(records, d));
+      }
+    }
+    // Every size, interleaved.
+    std::vector<std::string> mixed;
+    for (std::size_t i = 0; i < 5 * sizes.size(); ++i) {
+      mixed.push_back(record(sizes[(i * 3) % sizes.size()], i));
+    }
+    SCOPED_TRACE("mixed, d " + std::to_string(d));
+    EXPECT_EQ(staged_digests(mixed, d), two_update_digests(mixed, d));
+  }
+  EXPECT_EQ(staged_digests({}, 3), two_update_digests({}, 3));
 }
 
 TEST(ChunkedDigesterTest, FinishTwiceThrows) {

@@ -112,12 +112,12 @@ TEST(TaskTest, ShufflePartitionIsDeterministicAndInRange) {
   dataflow::OpNode group;
   group.kind = dataflow::OpKind::kGroup;
   group.group_keys = {0};
-  std::string buf;
+  RowBytes buf;
   for (std::int64_t k = 0; k < 100; ++k) {
     const Tuple t({dataflow::Value(k)});
     const std::size_t p = shuffle_partition(group, 0, t, 7, buf);
     EXPECT_LT(p, 7u);
-    std::string fresh;
+    RowBytes fresh;
     EXPECT_EQ(p, shuffle_partition(group, 0, t, 7, fresh));
   }
 }
@@ -125,7 +125,7 @@ TEST(TaskTest, ShufflePartitionIsDeterministicAndInRange) {
 TEST(TaskTest, OrderAlwaysPartitionZero) {
   dataflow::OpNode order;
   order.kind = dataflow::OpKind::kOrder;
-  std::string buf;
+  RowBytes buf;
   EXPECT_EQ(shuffle_partition(order, 0, Tuple({dataflow::Value("x")}), 1, buf),
             0u);
 }
